@@ -10,6 +10,8 @@
 #![warn(missing_docs)]
 
 pub mod memo;
+#[cfg(test)]
+mod oracle;
 pub mod states;
 pub mod transition;
 pub mod uptime;

@@ -1,12 +1,24 @@
 //! Sweep-shared memoization of Markov uptime estimates.
 //!
-//! Profiling adaptive sweeps shows ~80% of wall-clock inside this crate:
-//! every Markov-Daly reschedule rebuilds a 48-hour transition model and
-//! propagates up to 600 masked matrix-vector products through it. Across
-//! a sweep's cells those models and estimates repeat heavily — runs at
+//! Every Markov-Daly reschedule asks for `E[T_u]` and every Threshold
+//! reschedule for `TimeThresh`, each from a 48-hour transition model. A
+//! fresh answer builds the model (one pass over the window's transition
+//! counts into a sparse CSR matrix) and runs the uptime kernel: up to 600
+//! masked steps over the matrix's non-zeros, with every start state the
+//! query needs (one for `E[T_u]`, one per up state for `TimeThresh`)
+//! propagated at once as the lanes of one buffer. The kernel is exact
+//! against a dense, one-start-at-a-time propagation: per lane, each state
+//! receives the same products in the same ascending-source order; a
+//! skipped zero term could only add `+0.0` to a non-negative sum; and
+//! survival sums the same values in the same order.
+//!
+//! A query still costs a kernel run of tens to hundreds of microseconds,
+//! plus a model build the first time its window is seen, and across a
+//! sweep's cells those models and estimates repeat heavily — runs at
 //! overlapping starts walk the same absolute history windows — so a
 //! [`UptimeMemo`] caches both layers: built [`MarkovModel`]s, and the
-//! scalar expected/average-uptime results queried from them.
+//! scalar expected/average-uptime results queried from them. A scalar hit
+//! skips both the build and the kernel.
 //!
 //! # Keying and determinism
 //!

@@ -1,0 +1,256 @@
+//! The dense reference kernel, for tests only, and the properties that pin
+//! the sparse kernel to it bit for bit.
+//!
+//! [`DenseModel`] is the Appendix-B uptime computation in its plainest
+//! form: a row-major `n × n` probability matrix, one start state per
+//! propagation, and a fresh distribution per step. [`MarkovModel`] must
+//! return exactly the same `SimDuration` for every query.
+
+use crate::states::StateSpace;
+use crate::uptime::{MarkovModel, EXACT_STEPS, MAX_EXPECTED_STEPS};
+use proptest::prelude::*;
+use redspot_trace::{Price, PriceSeries, SimDuration, SimTime, Window, PRICE_STEP};
+
+/// The dense model: the same states and probabilities as [`MarkovModel`],
+/// stored and propagated without skipping zeros.
+struct DenseModel {
+    states: StateSpace,
+    n: usize,
+    /// Row-major transition probabilities.
+    probs: Vec<f64>,
+    step_secs: u64,
+}
+
+impl DenseModel {
+    fn with_bin(series: &PriceSeries, window: Window, bin_millis: u64) -> DenseModel {
+        let slice = series.slice(window);
+        let samples = slice.samples();
+        let states = StateSpace::from_history(samples, bin_millis);
+        let history = if samples.len() >= 2 {
+            samples.to_vec()
+        } else {
+            vec![samples[0], samples[0]]
+        };
+        let n = states.len();
+        let mut counts = vec![0u64; n * n];
+        for w in history.windows(2) {
+            counts[states.state_of(w[0]) * n + states.state_of(w[1])] += 1;
+        }
+        let mut probs = vec![0.0f64; n * n];
+        for row in 0..n {
+            let total: u64 = counts[row * n..(row + 1) * n].iter().sum();
+            if total == 0 {
+                probs[row * n + row] = 1.0;
+            } else {
+                for col in 0..n {
+                    probs[row * n + col] = counts[row * n + col] as f64 / total as f64;
+                }
+            }
+        }
+        DenseModel {
+            states,
+            n,
+            probs,
+            step_secs: slice.step(),
+        }
+    }
+
+    fn step_masked(&self, dist: &[f64], up: &[bool]) -> Vec<f64> {
+        let mut next = vec![0.0f64; self.n];
+        for (i, (&mass, &alive)) in dist.iter().zip(up).enumerate() {
+            if !alive || mass == 0.0 {
+                continue;
+            }
+            let row = &self.probs[i * self.n..(i + 1) * self.n];
+            for (nx, &p) in next.iter_mut().zip(row) {
+                *nx += mass * p;
+            }
+        }
+        next
+    }
+
+    fn expected_uptime(&self, current_price: Price, bid: Price) -> SimDuration {
+        if current_price > bid {
+            return SimDuration::ZERO;
+        }
+        let up = self.states.up_mask(bid);
+        let mut dist = vec![0.0f64; self.n];
+        dist[self.states.state_of(current_price)] = 1.0;
+        if !up[self.states.state_of(current_price)] {
+            if let Some(i) = up.iter().position(|&u| u) {
+                dist.iter_mut().for_each(|d| *d = 0.0);
+                dist[i] = 1.0;
+            } else {
+                return SimDuration::ZERO;
+            }
+        }
+        let mut expected_steps = 0.0f64;
+        let tol = 1.0 / self.step_secs as f64;
+        let mut prev_alive = 1.0f64;
+        for k in 0..EXACT_STEPS {
+            dist = self.step_masked(&dist, &up);
+            let alive: f64 = dist.iter().sum();
+            expected_steps += alive;
+            if alive < tol {
+                break;
+            }
+            if k + 1 == EXACT_STEPS {
+                let r = (alive / prev_alive).clamp(0.0, 0.999_999);
+                expected_steps += alive * r / (1.0 - r);
+            }
+            prev_alive = alive;
+        }
+        let steps = expected_steps.min(MAX_EXPECTED_STEPS);
+        SimDuration::from_secs((steps * self.step_secs as f64).round() as u64)
+    }
+
+    fn average_uptime(&self, bid: Price) -> SimDuration {
+        let ups: Vec<usize> = (0..self.n)
+            .filter(|&i| self.states.price_of(i) <= bid)
+            .collect();
+        if ups.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let total: u64 = ups
+            .iter()
+            .map(|&i| self.expected_uptime(self.states.price_of(i), bid).secs())
+            .sum();
+        SimDuration::from_secs(total / ups.len() as u64)
+    }
+}
+
+fn p(millis: u64) -> Price {
+    Price::from_millis(millis)
+}
+
+/// The sparse and the dense model of the whole of `prices`.
+fn models(prices: &[u64], bin_millis: u64) -> (MarkovModel, DenseModel) {
+    let series = PriceSeries::new(SimTime::ZERO, prices.iter().map(|&m| p(m)).collect());
+    let window = Window::new(series.start(), series.end());
+    (
+        MarkovModel::with_bin(&series, window, bin_millis),
+        DenseModel::with_bin(&series, window, bin_millis),
+    )
+}
+
+/// Everyday price levels; with 10- and 50-milli bins some share a state.
+const ALPHABET: [u64; 8] = [250, 257, 270, 281, 300, 330, 410, 480];
+
+/// A 2–600-sample history made of runs of one price each: mostly levels
+/// from [`ALPHABET`], sometimes a spike far above them. Long runs at a
+/// high bid make sticky chains that reach the geometric tail or the cap;
+/// short runs and low bids make chains that absorb within a few steps.
+fn arb_history() -> impl Strategy<Value = Vec<u64>> {
+    let run = (0usize..10, 500u64..3_000, 1usize..60).prop_map(|(pick, spike, len)| {
+        let price = ALPHABET.get(pick).copied().unwrap_or(spike);
+        (price, len)
+    });
+    (prop::collection::vec(run, 1..40), 2usize..=600).prop_map(|(runs, cap)| {
+        let mut history: Vec<u64> = runs
+            .into_iter()
+            .flat_map(|(price, len)| std::iter::repeat_n(price, len))
+            .take(cap)
+            .collect();
+        if history.len() < 2 {
+            history.push(history[0]);
+        }
+        history
+    })
+}
+
+fn arb_bin() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(10u64), Just(50u64)]
+}
+
+/// Prices and bids from below the lowest level to above the highest spike.
+fn arb_price() -> impl Strategy<Value = u64> {
+    0u64..3_500
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn expected_uptime_equals_the_dense_oracle(
+        history in arb_history(),
+        bin in arb_bin(),
+        queries in prop::collection::vec((arb_price(), arb_price()), 1..8),
+    ) {
+        let (sparse, dense) = models(&history, bin);
+        for (price, bid) in queries {
+            prop_assert_eq!(
+                sparse.expected_uptime(p(price), p(bid)),
+                dense.expected_uptime(p(price), p(bid)),
+                "price {} bid {} bin {}", price, bid, bin
+            );
+        }
+    }
+
+    #[test]
+    fn average_uptime_equals_the_dense_oracle(
+        history in arb_history(),
+        bin in arb_bin(),
+        bids in prop::collection::vec(arb_price(), 1..5),
+    ) {
+        let (sparse, dense) = models(&history, bin);
+        for bid in bids {
+            prop_assert_eq!(
+                sparse.average_uptime(p(bid)),
+                dense.average_uptime(p(bid)),
+                "bid {} bin {}", bid, bin
+            );
+        }
+    }
+
+    #[test]
+    fn combined_uptime_equals_the_dense_oracle(
+        zones in prop::collection::vec((arb_history(), arb_price()), 1..4),
+        bin in arb_bin(),
+        bid in arb_price(),
+    ) {
+        let (sparse, dense): (Vec<_>, Vec<_>) =
+            zones.iter().map(|(history, _)| models(history, bin)).unzip();
+        let prices: Vec<Price> = zones.iter().map(|&(_, price)| p(price)).collect();
+        let expected = dense
+            .iter()
+            .zip(&prices)
+            .map(|(m, &price)| m.expected_uptime(price, p(bid)))
+            .fold(SimDuration::ZERO, |a, b| a + b);
+        prop_assert_eq!(MarkovModel::combined_uptime(&sparse, &prices, p(bid)), expected);
+    }
+}
+
+#[test]
+fn geometric_tail_matches_the_oracle() {
+    // From 270 the price leaves with probability 1/200 per step, so the
+    // survival after 600 steps (≈ 0.05) is still above `Th` and the tail
+    // closes the sum at exactly 200 steps; without the tail it would stop
+    // near 190.
+    let mut history = vec![270; 200];
+    history.extend([900, 270]);
+    let (sparse, dense) = models(&history, 10);
+    let up = sparse.expected_uptime(p(270), p(500));
+    assert_eq!(up, dense.expected_uptime(p(270), p(500)));
+    assert!(up.secs().abs_diff(200 * PRICE_STEP) <= 1, "got {up}");
+    assert_eq!(sparse.average_uptime(p(500)), dense.average_uptime(p(500)));
+}
+
+#[test]
+fn step_cap_matches_the_oracle() {
+    // A price that never leaves the bid: survival 1 forever, capped.
+    let (sparse, dense) = models(&[270; 100], 10);
+    let up = sparse.expected_uptime(p(270), p(500));
+    assert_eq!(up, dense.expected_uptime(p(270), p(500)));
+    assert_eq!(up.secs(), MAX_EXPECTED_STEPS as u64 * PRICE_STEP);
+    assert_eq!(sparse.average_uptime(p(500)), up);
+}
+
+#[test]
+fn nudge_matches_the_oracle() {
+    // Price 700 snaps to the 900 state, which bid 800 leaves down.
+    let (sparse, dense) = models(&[270, 270, 270, 270, 300, 900, 270, 270, 300, 900, 270], 10);
+    assert_eq!(
+        sparse.expected_uptime(p(700), p(800)),
+        dense.expected_uptime(p(700), p(800))
+    );
+}

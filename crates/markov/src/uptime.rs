@@ -5,6 +5,13 @@
 //! absorbed (the instance terminates). The expected up-time is the
 //! expected number of surviving 5-minute steps; iteration stops once the
 //! estimate is stable at seconds granularity (the paper's `Th`).
+//!
+//! Every query runs one kernel. Each start state is a lane of one
+//! state-major buffer, and all lanes step through the sparse transition
+//! matrix together: one lane for [`MarkovModel::expected_uptime`], one per
+//! up state for [`MarkovModel::average_uptime`]. A lane's arithmetic is
+//! exactly that of a dense, one-start propagation, so results are
+//! bit-identical to it (the test-only oracle in this crate checks that).
 
 use crate::states::{StateSpace, DEFAULT_BIN_MILLIS};
 use crate::transition::TransitionMatrix;
@@ -22,11 +29,11 @@ pub struct MarkovModel {
 /// Iterations before switching to geometric tail extrapolation. Sticky
 /// chains (prices that essentially never leave the bid) would otherwise
 /// burn thousands of matrix-vector products per query.
-const EXACT_STEPS: usize = 600;
+pub(crate) const EXACT_STEPS: usize = 600;
 
 /// Cap on the expected up-time: 30 days of 5-minute steps. Beyond this the
 /// distinction is irrelevant to a ≤ 30-hour experiment.
-const MAX_EXPECTED_STEPS: f64 = 8_640.0;
+pub(crate) const MAX_EXPECTED_STEPS: f64 = 8_640.0;
 
 impl MarkovModel {
     /// Build from the portion of `series` inside `window` (the paper uses
@@ -79,43 +86,17 @@ impl MarkovModel {
             return SimDuration::ZERO;
         }
         let up = self.states.up_mask(bid);
-        let mut dist = vec![0.0f64; self.states.len()];
-        dist[self.states.state_of(current_price)] = 1.0;
-
+        let mut start = self.states.state_of(current_price);
         // If quantization snapped the current price into a down state even
-        // though current_price <= bid, nudge to the nearest up state; the
-        // instance is observably up right now.
-        if !up[self.states.state_of(current_price)] {
-            if let Some(i) = up.iter().position(|&u| u) {
-                dist.iter_mut().for_each(|d| *d = 0.0);
-                dist[i] = 1.0;
-            } else {
-                return SimDuration::ZERO;
+        // though current_price <= bid, start from the lowest-priced up
+        // state instead; the instance is observably up right now.
+        if !up[start] {
+            match up.iter().position(|&u| u) {
+                Some(i) => start = i,
+                None => return SimDuration::ZERO,
             }
         }
-
-        // E[steps up] = Σ_k (probability still alive after k steps).
-        let mut expected_steps = 0.0f64;
-        let tol = 1.0 / self.step_secs as f64; // seconds granularity (Th)
-        let mut prev_alive = 1.0f64;
-        for k in 0..EXACT_STEPS {
-            dist = self.trans.step_masked(&dist, &up);
-            let alive: f64 = dist.iter().sum();
-            expected_steps += alive;
-            if alive < tol {
-                break;
-            }
-            if k + 1 == EXACT_STEPS {
-                // Geometric tail: survival decays roughly by a constant
-                // per-step ratio once the distribution has mixed; the
-                // remaining sum is alive · r / (1 − r).
-                let r = (alive / prev_alive).clamp(0.0, 0.999_999);
-                expected_steps += alive * r / (1.0 - r);
-            }
-            prev_alive = alive;
-        }
-        let steps = expected_steps.min(MAX_EXPECTED_STEPS);
-        SimDuration::from_secs((steps * self.step_secs as f64).round() as u64)
+        self.uptimes(&up, &[start])[0]
     }
 
     /// Combined expected up-time across several zones at a common bid: the
@@ -134,25 +115,117 @@ impl MarkovModel {
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
-    /// Probabilistic average up-time across all starting states weighted
-    /// by their empirical frequency — the Threshold policy's `TimeThresh`.
+    /// Probabilistic average up-time across all up starting states, each
+    /// weighted equally — the Threshold policy's `TimeThresh`.
     pub fn average_uptime(&self, bid: Price) -> SimDuration {
         // Weight each up state equally by its appearance in the state
         // space; a frequency-weighted version would need the raw history,
         // and the uniform version is what the Threshold description needs:
-        // "the probabilistic average up time of a zone".
-        let ups: Vec<usize> = (0..self.states.len())
-            .filter(|&i| self.states.price_of(i) <= bid)
-            .collect();
+        // "the probabilistic average up time of a zone". Every up state's
+        // price maps to that state and is within the bid, so each one's
+        // uptime is `expected_uptime` from it, without a nudge.
+        let up = self.states.up_mask(bid);
+        let ups: Vec<usize> = (0..up.len()).filter(|&i| up[i]).collect();
         if ups.is_empty() {
             return SimDuration::ZERO;
         }
-        let total: u64 = ups
-            .iter()
-            .map(|&i| self.expected_uptime(self.states.price_of(i), bid).secs())
-            .sum();
+        let total: u64 = self.uptimes(&up, &ups).iter().map(|u| u.secs()).sum();
         SimDuration::from_secs(total / ups.len() as u64)
     }
+
+    /// The uptime kernel behind every query: the expected up-time from each
+    /// of `starts`, in order, each start a lane of one state-major buffer
+    /// propagated through the masked chain at once.
+    ///
+    /// Every lane follows the single-start rules on its own: E[steps up] =
+    /// Σ_k (probability still alive after k steps), stopping once a step's
+    /// survival falls below seconds granularity (the paper's `Th`), with a
+    /// geometric tail after [`EXACT_STEPS`], capped at
+    /// [`MAX_EXPECTED_STEPS`] and rounded to whole seconds. A lane's
+    /// arithmetic never depends on the other lanes, so its result is the
+    /// one it would get alone; finished lanes leave the buffer.
+    fn uptimes(&self, up: &[bool], starts: &[usize]) -> Vec<SimDuration> {
+        let n = self.states.len();
+        let tol = 1.0 / self.step_secs as f64; // seconds granularity (Th)
+        let mut out = vec![SimDuration::ZERO; starts.len()];
+        let mut lanes: Vec<Lane> = (0..starts.len())
+            .map(|id| Lane {
+                id,
+                steps: 0.0,
+                prev_alive: 1.0,
+            })
+            .collect();
+        let mut dist = vec![0.0f64; n * lanes.len()];
+        for (l, &s) in starts.iter().enumerate() {
+            dist[s * lanes.len() + l] = 1.0;
+        }
+        let mut next = vec![0.0f64; dist.len()];
+        let mut survival = vec![0.0f64; lanes.len()];
+        let mut keep = vec![true; lanes.len()];
+        for k in 0..EXACT_STEPS {
+            self.trans.step_masked(&dist, up, &mut next);
+            std::mem::swap(&mut dist, &mut next);
+            // Each lane's survival sums its states in state order from
+            // -0.0, exactly as `Iterator::sum` over one distribution.
+            survival.fill(-0.0);
+            for row in dist.chunks_exact(lanes.len()) {
+                for (s, &mass) in survival.iter_mut().zip(row) {
+                    *s += mass;
+                }
+            }
+            let last = k + 1 == EXACT_STEPS;
+            for ((lane, &alive), kept) in lanes.iter_mut().zip(&survival).zip(&mut keep) {
+                lane.steps += alive;
+                let stopped = alive < tol;
+                if !stopped && last {
+                    // Geometric tail: survival decays roughly by a constant
+                    // per-step ratio once the distribution has mixed; the
+                    // remaining sum is alive · r / (1 − r).
+                    let r = (alive / lane.prev_alive).clamp(0.0, 0.999_999);
+                    lane.steps += alive * r / (1.0 - r);
+                }
+                *kept = !stopped && !last;
+                if !*kept {
+                    let steps = lane.steps.min(MAX_EXPECTED_STEPS);
+                    out[lane.id] =
+                        SimDuration::from_secs((steps * self.step_secs as f64).round() as u64);
+                }
+                lane.prev_alive = alive;
+            }
+            if keep.iter().all(|&kept| kept) {
+                continue;
+            }
+            // Drop finished lanes: keep the survivors' columns, in order.
+            let width = lanes.len();
+            let mut w = 0;
+            for r in 0..dist.len() {
+                if keep[r % width] {
+                    dist[w] = dist[r];
+                    w += 1;
+                }
+            }
+            dist.truncate(w);
+            next.truncate(w);
+            let mut kept = keep.iter();
+            lanes.retain(|_| *kept.next().expect("one flag per lane"));
+            if lanes.is_empty() {
+                break;
+            }
+            survival.truncate(lanes.len());
+            keep.truncate(lanes.len());
+        }
+        out
+    }
+}
+
+/// One start state's progress through [`MarkovModel::uptimes`].
+struct Lane {
+    /// Position of the start in the caller's list.
+    id: usize,
+    /// E[steps up] so far.
+    steps: f64,
+    /// Survival after the previous step (1 before the first).
+    prev_alive: f64,
 }
 
 #[cfg(test)]
@@ -238,6 +311,18 @@ mod tests {
         let m = model(&[270, 271, 272, 273, 274, 270]);
         let up = m.expected_uptime(p(274), p(274));
         assert!(up > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn nudge_starts_from_the_lowest_priced_up_state() {
+        // Levels 270/300/900: price 700 snaps to 900, down at bid 800, so
+        // the chain starts from 270 (the lowest-priced up state), not from
+        // 300 (the nearest one). From 270 the price lingers; from 300 it
+        // always jumps to 900.
+        let m = model(&[270, 270, 270, 270, 300, 900, 270, 270, 300, 900, 270]);
+        let nudged = m.expected_uptime(p(700), p(800));
+        assert_eq!(nudged, m.expected_uptime(p(270), p(800)));
+        assert_ne!(nudged, m.expected_uptime(p(300), p(800)));
     }
 
     #[test]
