@@ -16,6 +16,41 @@ const BOOL_FLAGS: &[&str] = &[
     "stdio",
 ];
 
+/// Flags that take a value. Any `--flag` in neither list is a usage
+/// error, so a typo never silently falls back to a default.
+const VALUE_FLAGS: &[&str] = &[
+    "addr",
+    "bid",
+    "bids",
+    "block-hours",
+    "bootstrap-from",
+    "capacity",
+    "days",
+    "era",
+    "format",
+    "intensities",
+    "jobs",
+    "journal",
+    "market",
+    "n",
+    "out",
+    "policy",
+    "profile",
+    "redundant",
+    "seed",
+    "shard",
+    "slack",
+    "start",
+    "svg",
+    "sync-every",
+    "tc",
+    "threads",
+    "trace",
+    "trace-out",
+    "workload",
+    "zones",
+];
+
 /// Parsed flags plus positional arguments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedArgs {
@@ -33,6 +68,9 @@ impl ParsedArgs {
                 if BOOL_FLAGS.contains(&key) {
                     out.flags.insert(key.to_string(), "true".to_string());
                     continue;
+                }
+                if !VALUE_FLAGS.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
                 }
                 let value = it
                     .next()
@@ -67,6 +105,16 @@ impl ParsedArgs {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("flag --{key}: cannot parse '{v}'")),
+        }
+    }
+
+    /// The experiment count `--n`, which must be at least 1: a sweep
+    /// over zero experiments would report vacuous medians and pass every
+    /// deadline gate.
+    pub fn n_or(&self, default: usize) -> Result<usize, String> {
+        match self.num_or("n", default)? {
+            0 => Err("--n must be at least 1".into()),
+            n => Ok(n),
         }
     }
 
@@ -180,12 +228,17 @@ USAGE:
   redspot validate-trace FILE.jsonl # check a --trace-out file line by line: schema,
                                     # finite non-negative prices, ordered timestamps
   redspot adaptive [--slack PCT] [--tc SECS] [--start HOURS] [--seed N]
-  redspot figure 2|4|5|6 [--n COUNT] [--seed N]
-  redspot table 2|3 [--n COUNT] [--seed N]
-  redspot headline [--n COUNT] [--seed N]
-  redspot var-analysis [--seed N]
-  redspot queuing-delay [--seed N]
-  redspot spike-stress [--n COUNT] [--seed N]
+  redspot repro ARTIFACT|all [--n COUNT] [--seed N] [--threads N] [--svg DIR]
+                [--out FILE] [--force]
+                                    # reproduce the paper's evaluation: `all` prints
+                                    # fig2 var-analysis queuing-delay fig4 table2
+                                    # table3 fig5 fig6 headline in turn; mechanics
+                                    # markov-validation robustness ablate-n
+                                    # ablate-daly ablate-history run alone. --n is
+                                    # experiments per volatility window (default 16,
+                                    # paper scale 80); --svg writes each figure panel
+                                    # to DIR/<panel>.svg; --out writes the panels as
+                                    # JSON (refuses to overwrite without --force)
   redspot chaos [--api | --api-only] [--n COUNT] [--seed N] [--intensities 0,0.3,0.6,1]
                                     # --api composes control-plane faults WITH the
                                     # infrastructure faults in the same runs; --api-only
@@ -210,7 +263,6 @@ USAGE:
                                     # on-demand rate, violations; --out writes the
                                     # comparison artifact as JSON; exits 1 on any
                                     # deadline violation
-  redspot markov-validation [--seed N] [--bid DOLLARS]
   redspot bootstrap --trace FILE --out FILE [--seed N] [--block-hours H] [--days D]
                     [--force]
   redspot workloads                 # list the workload catalog
@@ -271,6 +323,7 @@ per-second billing with 2-minute interruption notices and no user bids.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn parse(args: &[&str]) -> Result<ParsedArgs, String> {
         ParsedArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -289,6 +342,43 @@ mod tests {
     #[test]
     fn dangling_flag_is_an_error() {
         assert!(parse(&["--n"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(
+            parse(&["--polcy", "edge"]),
+            Err("unknown flag --polcy".into())
+        );
+    }
+
+    #[test]
+    fn usage_names_exactly_the_flags_the_parser_knows() {
+        let text = usage();
+        let in_usage: BTreeSet<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        let known: BTreeSet<&str> = BOOL_FLAGS.iter().chain(VALUE_FLAGS).copied().collect();
+        assert_eq!(in_usage, known);
+    }
+
+    #[test]
+    fn zero_experiments_is_a_usage_error_everywhere() {
+        for cmd in [
+            "repro fig2",
+            "chaos",
+            "era-compare",
+            "policy-compare",
+            "sweep",
+        ] {
+            let mut args: Vec<String> = cmd.split(' ').map(String::from).collect();
+            args.extend(["--n", "0"].map(String::from));
+            match crate::dispatch(&args) {
+                Err(crate::CliError::Usage(msg)) => assert!(msg.contains("--n"), "{cmd}: {msg}"),
+                other => panic!("{cmd} --n 0 gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,6 @@
 use crate::args::{CommonArgs, ParsedArgs};
 use crate::CliError;
 use redspot_core::{AdaptiveRunner, Engine, ExperimentConfig, PolicyKind, RunResult};
-use redspot_exp::experiments::{fig2, fig4, fig5, fig6, tables};
-use redspot_exp::report::{boxplot_panel, REF_LINES};
-use redspot_exp::PaperSetup;
 use redspot_trace::{Price, Profile, SimTime, TraceSet, ZoneId};
 use std::path::Path;
 
@@ -20,7 +17,7 @@ fn load_trace(parsed: &ParsedArgs, key: &str) -> Result<TraceSet, String> {
 /// The shared no-clobber guard every artifact-writing command applies to
 /// its `--out` before doing any work: refuse to overwrite an existing
 /// file unless `--force` was given, leaving the file untouched.
-fn guard_out(parsed: &ParsedArgs, path: &str) -> Result<(), String> {
+pub(crate) fn guard_out(parsed: &ParsedArgs, path: &str) -> Result<(), String> {
     if Path::new(path).exists() && !parsed.has("force") {
         return Err(format!("{path} already exists; pass --force to overwrite"));
     }
@@ -337,71 +334,6 @@ pub fn adaptive(parsed: &ParsedArgs) -> Result<String, String> {
     ))
 }
 
-fn setup_from(parsed: &ParsedArgs) -> Result<PaperSetup, String> {
-    let n = parsed.num_or("n", 16usize)?;
-    let seed = parsed.num_or("seed", 42u64)?;
-    Ok(PaperSetup::new(seed, n))
-}
-
-/// `figure`: regenerate a paper figure.
-pub fn figure(parsed: &ParsedArgs) -> Result<String, String> {
-    let which = parsed.positional(0).ok_or("which figure? (2|4|5|6)")?;
-    let setup = setup_from(parsed)?;
-    let mut out = String::new();
-    match which {
-        "2" => out.push_str(&fig2::render(&fig2::fig2(&setup, Price::from_millis(810)))),
-        "4" => {
-            for (i, panel) in fig4::fig4(&setup).iter().enumerate() {
-                let title = format!(
-                    "Figure 4({}) — {} volatility, slack {}%, t_c = 300 s",
-                    char::from(b'a' + i as u8),
-                    panel.cell.volatility,
-                    panel.cell.slack_pct,
-                );
-                out.push_str(&boxplot_panel(&title, &panel.rows, &REF_LINES));
-            }
-        }
-        "5" => {
-            for (i, panel) in fig5::fig5(&setup).iter().enumerate() {
-                let title = format!(
-                    "Figure 5({}) — {} volatility, t_c = {} s, slack {}%",
-                    char::from(b'a' + i as u8),
-                    panel.volatility,
-                    panel.tc_secs,
-                    panel.slack_pct,
-                );
-                out.push_str(&boxplot_panel(&title, &panel.rows(), &REF_LINES));
-            }
-        }
-        "6" => {
-            for (i, panel) in fig6::fig6(&setup).iter().enumerate() {
-                let title = format!(
-                    "Figure 6({}) — {} volatility, t_c = {} s, slack {}%",
-                    char::from(b'a' + i as u8),
-                    panel.volatility,
-                    panel.tc_secs,
-                    panel.slack_pct,
-                );
-                out.push_str(&boxplot_panel(&title, &panel.rows(), &REF_LINES));
-            }
-        }
-        other => return Err(format!("unknown figure: {other} (2|4|5|6)")),
-    }
-    Ok(out)
-}
-
-/// `table`: regenerate a paper table.
-pub fn table(parsed: &ParsedArgs) -> Result<String, String> {
-    let which = parsed.positional(0).ok_or("which table? (2|3)")?;
-    let setup = setup_from(parsed)?;
-    let tc = match which {
-        "2" => 300,
-        "3" => 900,
-        other => return Err(format!("unknown table: {other} (2|3)")),
-    };
-    Ok(tables::render(&tables::optimal_policies(&setup, tc)))
-}
-
 #[cfg(test)]
 mod tests {
 
@@ -470,8 +402,8 @@ mod tests {
     fn errors_are_reported() {
         assert!(dispatch_str(&[]).is_err());
         assert!(dispatch_str(&["frobnicate"]).is_err());
-        assert!(dispatch_str(&["figure", "9"]).is_err());
-        assert!(dispatch_str(&["table", "5"]).is_err());
+        assert!(dispatch_str(&["repro", "fig9"]).is_err());
+        assert!(dispatch_str(&["repro", "table5"]).is_err());
         assert!(dispatch_str(&["describe", "/nonexistent/trace.json"]).is_err());
         assert!(dispatch_str(&["gen-trace", "--force", "--profile", "weird"]).is_err());
     }
@@ -591,51 +523,6 @@ mod tests {
     }
 }
 
-/// `headline`: the abstract's claims, measured.
-pub fn headline(parsed: &ParsedArgs) -> Result<String, String> {
-    use redspot_exp::experiments::headline as hl;
-    let setup = setup_from(parsed)?;
-    Ok(hl::render(&hl::headline(&setup)))
-}
-
-/// `var-analysis`: Section 3.1 cross-zone independence.
-pub fn var_analysis(parsed: &ParsedArgs) -> Result<String, String> {
-    use redspot_exp::experiments::var_analysis as va;
-    use redspot_trace::vol::Volatility;
-    let setup = setup_from(parsed)?;
-    let analyses: Vec<_> = [Volatility::Low, Volatility::High]
-        .into_iter()
-        .filter_map(|v| va::analyse(&setup, v))
-        .collect();
-    Ok(va::render(&analyses))
-}
-
-/// `queuing-delay`: the Section-5 measurement reproduction.
-pub fn queuing_delay(parsed: &ParsedArgs) -> Result<String, String> {
-    use redspot_exp::experiments::queuing;
-    let seed = parsed.num_or("seed", 42u64)?;
-    Ok(queuing::render(&queuing::study(seed, 60)))
-}
-
-/// `spike-stress`: Large-bid vs Adaptive around the $20.02 spike.
-pub fn spike_stress(parsed: &ParsedArgs) -> Result<String, String> {
-    use redspot_exp::experiments::fig6;
-    use redspot_exp::report::{boxplot_panel, REF_LINES};
-    let seed = parsed.num_or("seed", 42u64)?;
-    let n = parsed.num_or("n", 8usize)?;
-    let s = fig6::spike_stress(seed, n);
-    Ok(format!(
-        "{}  worst vs on-demand: Large-bid {:.2}x (paper: up to 3.8x), Adaptive {:.2}x\n",
-        boxplot_panel(
-            "Spike stress — 12-month history, starts bracketing the $20.02 spike",
-            &s.rows(),
-            &REF_LINES
-        ),
-        s.large_bid_worst_vs_od(),
-        s.adaptive_worst_vs_od(),
-    ))
-}
-
 /// Parse the shared `--intensities` list (values in `[0, 1]`).
 fn parse_intensities(parsed: &ParsedArgs, default: &str) -> Result<Vec<f64>, String> {
     let spec = parsed.get_or("intensities", default);
@@ -670,7 +557,7 @@ pub fn chaos(parsed: &ParsedArgs) -> Result<String, CliError> {
     use redspot_exp::experiments::{chaos, chaos_api};
     let usage = CliError::Usage;
     let common = parsed.common().map_err(usage)?;
-    let n = parsed.num_or("n", 8usize).map_err(usage)?;
+    let n = parsed.n_or(8).map_err(usage)?;
     let intensities = parse_intensities(parsed, "0,0.3,0.6,1").map_err(usage)?;
     let traces = common.source.resolve().map_err(usage)?;
     let (rendered, violations) = if parsed.has("api") || parsed.has("api-only") {
@@ -830,7 +717,7 @@ pub fn policy_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
     use redspot_exp::experiments::policy_compare as pc;
     let usage = CliError::Usage;
     let common = parsed.common().map_err(usage)?;
-    let n = parsed.num_or("n", 8usize).map_err(usage)?;
+    let n = parsed.n_or(8).map_err(usage)?;
     let traces = common.source.resolve().map_err(usage)?;
     let c = pc::study(&traces, n, common.threads);
     let mut rendered = pc::render(&c);
@@ -855,7 +742,7 @@ pub fn era_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
     use redspot_exp::experiments::era_compare;
     let usage = CliError::Usage;
     let common = parsed.common().map_err(usage)?;
-    let n = parsed.num_or("n", 8usize).map_err(usage)?;
+    let n = parsed.n_or(8).map_err(usage)?;
     let traces = common.source.resolve().map_err(usage)?;
     let c = era_compare::study(&traces, n, common.threads);
     let rendered = era_compare::render(&c);
@@ -863,15 +750,6 @@ pub fn era_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
         return Err(CliError::Violation(rendered));
     }
     Ok(rendered)
-}
-
-/// `markov-validation`: Appendix-B model vs observed up-times.
-pub fn markov_validation(parsed: &ParsedArgs) -> Result<String, String> {
-    use redspot_exp::experiments::markov_validation as mv;
-    let setup = setup_from(parsed)?;
-    let bid = Price::from_dollars(parsed.num_or("bid", 0.81f64)?);
-    let v = mv::validate(&setup, bid);
-    Ok(mv::render(&v, bid))
 }
 
 /// `bootstrap`: resample an observed trace into a synthetic variant.
@@ -907,14 +785,6 @@ mod extra_tests {
         let dir = std::env::temp_dir().join("redspot-cli-test2");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
-    }
-
-    #[test]
-    fn analysis_commands_produce_output() {
-        let out = dispatch_str(&["var-analysis", "--n", "4"]).unwrap();
-        assert!(out.contains("orders of magnitude"));
-        let out = dispatch_str(&["queuing-delay"]).unwrap();
-        assert!(out.contains("299.6"));
     }
 
     #[test]
@@ -1118,7 +988,7 @@ fn sweep_grid(
         parse_policy(parsed)?
     };
     let redundant = parsed.get_or("redundant", "false") == "true";
-    let n = parsed.num_or("n", 16usize)?;
+    let n = parsed.n_or(16)?;
     let bids: Vec<Price> = match parsed.get("bids") {
         None => vec![
             Price::from_millis(270),

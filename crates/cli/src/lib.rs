@@ -7,6 +7,7 @@
 
 mod args;
 mod cmd;
+mod repro;
 
 use std::fmt;
 
@@ -46,17 +47,11 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "run" => cmd::run(&parsed).map_err(CliError::Usage),
         "validate-trace" => cmd::validate_trace(&parsed).map_err(CliError::Usage),
         "adaptive" => cmd::adaptive(&parsed).map_err(CliError::Usage),
-        "figure" => cmd::figure(&parsed).map_err(CliError::Usage),
-        "table" => cmd::table(&parsed).map_err(CliError::Usage),
-        "headline" => cmd::headline(&parsed).map_err(CliError::Usage),
-        "var-analysis" => cmd::var_analysis(&parsed).map_err(CliError::Usage),
-        "queuing-delay" => cmd::queuing_delay(&parsed).map_err(CliError::Usage),
-        "spike-stress" => cmd::spike_stress(&parsed).map_err(CliError::Usage),
+        "repro" => repro::repro(&parsed).map_err(CliError::Usage),
         "chaos" => cmd::chaos(&parsed),
         "fleet" => cmd::fleet(&parsed),
         "era-compare" => cmd::era_compare(&parsed),
         "policy-compare" => cmd::policy_compare(&parsed),
-        "markov-validation" => cmd::markov_validation(&parsed).map_err(CliError::Usage),
         "bootstrap" => cmd::bootstrap(&parsed).map_err(CliError::Usage),
         "workloads" => cmd::workloads(&parsed).map_err(CliError::Usage),
         "sweep" => cmd::sweep(&parsed),

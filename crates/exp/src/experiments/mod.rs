@@ -1,7 +1,10 @@
 //! One module per paper experiment (figure/table). Each computes a
-//! structured result and offers a `render` for terminal output; the
-//! `redspot-bench` binaries and the CLI drive these.
+//! structured result and offers a `render` for terminal output;
+//! [`crate::repro`] names the paper's artifacts for `redspot repro`, and
+//! the CLI's study commands (`chaos`, `fleet`, `era-compare`,
+//! `policy-compare`) drive the rest.
 
+pub mod ablation;
 pub mod chaos;
 pub mod chaos_api;
 pub mod chaos_fleet;

@@ -6,8 +6,9 @@
 //! ([`exec::RunRequest`] over a shared [`redspot_core::MarketCtx`]), the
 //! fleet execution plane ([`fleet::FleetRequest`] — N jobs contending
 //! for a shared capacity pool), terminal rendering of boxplot figures
-//! and markdown tables, and one module per paper figure/table under
-//! [`experiments`].
+//! and markdown tables, one module per paper figure/table under
+//! [`experiments`], and the named artifact list behind `redspot repro`
+//! in [`repro`].
 
 #![warn(missing_docs)]
 
@@ -15,6 +16,7 @@ pub mod exec;
 pub mod experiments;
 pub mod fleet;
 pub mod report;
+pub mod repro;
 pub mod results;
 pub mod scheme;
 pub mod setup;

@@ -4,7 +4,7 @@
 use crate::experiments::{fig4, fig5, fig6};
 use crate::report::LabeledBox;
 use serde::{Deserialize, Serialize};
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// One labeled cost sample series.
@@ -115,8 +115,9 @@ pub fn from_fig6(panel: &fig6::Fig6Panel) -> PanelJson {
 
 /// Write panels as pretty JSON.
 pub fn save(path: &Path, panels: &[PanelJson]) -> io::Result<()> {
-    let file = io::BufWriter::new(std::fs::File::create(path)?);
-    serde_json::to_writer_pretty(file, panels).map_err(io::Error::other)
+    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
+    serde_json::to_writer_pretty(&mut file, panels).map_err(io::Error::other)?;
+    file.flush()
 }
 
 /// Load panels back (regression tracking).

@@ -33,11 +33,6 @@ impl PaperSetup {
         }
     }
 
-    /// The paper-scale setup: 80 experiments per window.
-    pub fn full(seed: u64) -> PaperSetup {
-        PaperSetup::new(seed, 80)
-    }
-
     /// A fast setup for tests and smoke runs.
     pub fn quick(seed: u64) -> PaperSetup {
         PaperSetup::new(seed, 6)
