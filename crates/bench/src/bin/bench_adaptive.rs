@@ -6,7 +6,7 @@
 //! the scan's speedup over the naive path. With `--check`, exits non-zero
 //! if either scanned path is slower than the naive path (CI guard).
 
-use redspot_core::{AdaptiveConfig, AdaptiveRunner, ExperimentConfig, ForecastMode};
+use redspot_core::{AdaptiveConfig, AdaptiveRunner, ExperimentConfig};
 use redspot_trace::gen::GenConfig;
 use redspot_trace::{SimDuration, SimTime};
 use std::time::Instant;
@@ -99,15 +99,9 @@ fn main() {
     let deadline = cfg.deadline;
     let start = SimTime::from_hours(48);
     let acfg = AdaptiveConfig::default();
-    let mode = |forecast| AdaptiveConfig {
-        forecast,
-        ..acfg.clone()
-    };
 
-    let naive_runner =
-        AdaptiveRunner::new(&traces, start, cfg.clone()).with_config(mode(ForecastMode::Naive));
-    let scan_runner =
-        AdaptiveRunner::new(&traces, start, cfg).with_config(mode(ForecastMode::Scan));
+    let naive_runner = AdaptiveRunner::new(&traces, start, cfg.clone()).with_naive_forecasts();
+    let scan_runner = AdaptiveRunner::new(&traces, start, cfg);
 
     let naive = measure(&naive_runner, start, work, deadline, args.iters, true);
     let cold = measure(&scan_runner, start, work, deadline, args.iters, true);

@@ -100,11 +100,6 @@ impl ReplicaSet {
         self.spec
     }
 
-    /// Number of replica slots (zones).
-    pub fn n_slots(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Durable progress `P`: the newest *valid* committed checkpoint
     /// position. Restores that discover corruption fall back to older
     /// generations, so this can move backwards across a

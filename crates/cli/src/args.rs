@@ -5,16 +5,10 @@ use redspot_core::Era;
 use redspot_trace::bootstrap::BootstrapConfig;
 use redspot_trace::{Profile, SimDuration, TraceSource};
 use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Flags that take no value: present means `true`.
-const BOOL_FLAGS: &[&str] = &[
-    "api",
-    "api-only",
-    "metrics",
-    "cache-stats",
-    "force",
-    "stdio",
-];
+const BOOL_FLAGS: &[&str] = &["api", "api-only", "metrics", "force", "redundant", "stdio"];
 
 /// Flags that take a value. Any `--flag` in neither list is a usage
 /// error, so a typo never silently falls back to a default.
@@ -27,7 +21,6 @@ const VALUE_FLAGS: &[&str] = &[
     "capacity",
     "days",
     "era",
-    "format",
     "intensities",
     "jobs",
     "journal",
@@ -36,7 +29,6 @@ const VALUE_FLAGS: &[&str] = &[
     "out",
     "policy",
     "profile",
-    "redundant",
     "seed",
     "shard",
     "slack",
@@ -116,6 +108,37 @@ impl ParsedArgs {
             0 => Err("--n must be at least 1".into()),
             n => Ok(n),
         }
+    }
+
+    /// A comma-separated list flag (`--zones 0,1,2`), each item trimmed
+    /// and parsed by `item`; `None` when the flag is absent.
+    pub(crate) fn list<T>(
+        &self,
+        key: &str,
+        item: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<Vec<T>>, String> {
+        self.get(key)
+            .map(|spec| {
+                spec.split(',')
+                    .map(|s| item(s.trim()).ok_or_else(|| format!("flag --{key}: bad value '{s}'")))
+                    .collect()
+            })
+            .transpose()
+    }
+
+    /// `--out FILE`, refused up front by [`guard`](Self::guard).
+    pub(crate) fn out(&self) -> Result<Option<&str>, String> {
+        self.get("out").map(|path| self.guard(path)).transpose()
+    }
+
+    /// The shared no-clobber guard every artifact-writing command applies
+    /// before doing any work: refuse to overwrite an existing file unless
+    /// `--force` was given, leaving the file untouched.
+    pub(crate) fn guard<'a>(&self, path: &'a str) -> Result<&'a str, String> {
+        if Path::new(path).exists() && !self.has("force") {
+            return Err(format!("{path} already exists; pass --force to overwrite"));
+        }
+        Ok(path)
     }
 
     /// Positional argument `i`.
@@ -211,8 +234,12 @@ pub fn usage() -> String {
 redspot — cost-effective, time-constrained HPC on the EC2 spot market (HPDC'14 reproduction)
 
 USAGE:
-  redspot gen-trace [--profile low|high|year|calibrated:FILE] [--seed N]
-                    [--out FILE] [--format json|csv] [--force]
+  redspot gen-trace [--profile low|high|year|calibrated:FILE | --bootstrap-from FILE
+                    | --trace FILE] [--seed N] [--out FILE] [--force]
+                                    # write the trace any source below resolves to;
+                                    # the format follows the --out extension (.csv
+                                    # is CSV, anything else JSON), so --trace FILE
+                                    # converts between the two
   redspot calibrate --trace FILE --out PROFILE.json [--force]
                                     # fit generator parameters (price level,
                                     # volatility, spell lengths, change-point
@@ -220,14 +247,16 @@ USAGE:
                                     # profile regenerates synthetic look-alikes via
                                     # gen-trace --profile calibrated:PROFILE.json
   redspot describe FILE
-  redspot run [--policy periodic|markov-daly|edge|threshold|spot-on|randomized-bid]
+  redspot run [--policy periodic|markov-daly|edge|threshold|spot-on|randomized-bid|adaptive]
               [--bid DOLLARS] [--zones 0,1,2] [--slack PCT] [--tc SECS]
               [--start HOURS] [--seed N] [--trace-out FILE.jsonl] [--metrics]
+                                    # adaptive chooses bid, redundancy and policy at
+                                    # every decision point, using --zones as the
+                                    # zones it may pick from, and lists its switches;
                                     # observation is opt-in: --trace-out streams the
                                     # event log as JSONL, --metrics prints telemetry
   redspot validate-trace FILE.jsonl # check a --trace-out file line by line: schema,
                                     # finite non-negative prices, ordered timestamps
-  redspot adaptive [--slack PCT] [--tc SECS] [--start HOURS] [--seed N]
   redspot repro ARTIFACT|all [--n COUNT] [--seed N] [--threads N] [--svg DIR]
                 [--out FILE] [--force]
                                     # reproduce the paper's evaluation: `all` prints
@@ -263,16 +292,16 @@ USAGE:
                                     # on-demand rate, violations; --out writes the
                                     # comparison artifact as JSON; exits 1 on any
                                     # deadline violation
-  redspot bootstrap --trace FILE --out FILE [--seed N] [--block-hours H] [--days D]
-                    [--force]
   redspot workloads                 # list the workload catalog
   redspot sweep [--policy P|adaptive] [--bids 0.27,0.81,2.40] [--n COUNT]
-                [--redundant true] [--slack PCT] [--tc SECS] [--seed N] [--metrics]
-                [--threads N] [--cache-stats] [--out sweep.json]
+                [--redundant] [--slack PCT] [--tc SECS] [--seed N] [--metrics]
+                [--threads N] [--out sweep.json]
                 [--shard K/N --journal DIR [--sync-every N]] [--force]
                                     # --threads 0 (default) = one worker per CPU;
-                                    # --cache-stats prints decision-cache hit rates
-                                    # (adaptive sweeps share one memoization cache);
+                                    # --redundant runs every zone at once instead of
+                                    # each zone alone; --metrics appends the merged
+                                    # telemetry and the decision-cache and uptime-memo
+                                    # hit rates (adaptive sweeps share one cache);
                                     # --out writes the merged sweep artifact as JSON;
                                     # --shard K/N --journal DIR runs only shard K of
                                     # the grid, journaling each completed cell — a
@@ -297,9 +326,9 @@ USAGE:
                                     # (default 0.81) before serving
   redspot help
 
-Every simulating command (run, adaptive, sweep, chaos, fleet, era-compare,
-policy-compare, serve preload) draws its market from one shared trace
-source, resolved in this order:
+Every simulating command (run, sweep, chaos, fleet, era-compare,
+policy-compare, serve preload) and gen-trace draw their market from one
+shared trace source, resolved in this order:
   --trace FILE                      # load a recorded JSON/CSV trace verbatim
   --bootstrap-from FILE [--block-hours H] [--days D]
                                     # block-bootstrap a synthetic ensemble member
@@ -310,8 +339,8 @@ source, resolved in this order:
 Naming more than one source is a usage error. Commands that write files
 (--out) refuse to overwrite an existing file unless --force is passed.
 
-Flags --workload NAME (on run/adaptive) override C, t_c and iteration
-structure from the catalog.
+Flag --workload NAME (on run) overrides C, t_c and iteration structure
+from the catalog.
 Shared flags on run/sweep/chaos: --threads N, --seed N, --metrics.
 Shared flag --era classic|modern (default classic) selects the market
 rules: classic is the paper's 2014 hourly market; modern is post-2017
@@ -337,6 +366,16 @@ mod tests {
         assert_eq!(a.num_or("seed", 0u64).unwrap(), 7);
         assert_eq!(a.num_or("missing", 5u64).unwrap(), 5);
         assert_eq!(a.get_or("profile", "low"), "low");
+    }
+
+    #[test]
+    fn comma_lists_trim_items_and_name_the_flag_on_error() {
+        let zone = |z: &str| z.parse::<usize>().ok();
+        let a = parse(&["--zones", "0, 2"]).unwrap();
+        assert_eq!(a.list("zones", zone), Ok(Some(vec![0, 2])));
+        assert_eq!(a.list("bids", zone), Ok(None));
+        let e = parse(&["--zones", "0,x"]).unwrap().list("zones", zone);
+        assert_eq!(e, Err("flag --zones: bad value 'x'".into()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! it, from the artifact list in [`redspot_exp::repro`].
 
 use crate::args::ParsedArgs;
-use crate::cmd::guard_out;
+use crate::CliError;
 use redspot_exp::report::REF_LINES;
 use redspot_exp::repro::{self, ARTIFACTS};
 use redspot_exp::{results, svg, PaperSetup};
@@ -18,7 +18,7 @@ fn names() -> String {
 /// `repro <artifact|all>`: render the artifact at `--n` experiments per
 /// volatility window, optionally writing its figure panels as SVG files
 /// (`--svg DIR`) and as JSON (`--out FILE`).
-pub fn repro(parsed: &ParsedArgs) -> Result<String, String> {
+pub fn repro(parsed: &ParsedArgs) -> Result<String, CliError> {
     let which = parsed
         .positional(0)
         .ok_or_else(|| format!("which artifact? ({})", names()))?;
@@ -32,10 +32,7 @@ pub fn repro(parsed: &ParsedArgs) -> Result<String, String> {
     };
     let (seed, n) = (parsed.num_or("seed", 42)?, parsed.n_or(16)?);
     let threads = parsed.num_or("threads", 0)?;
-    let out_path = parsed.get("out");
-    if let Some(path) = out_path {
-        guard_out(parsed, path)?;
-    }
+    let out_path = parsed.out()?;
 
     let mut setup = PaperSetup::new(seed, n);
     setup.threads = threads;
@@ -63,22 +60,14 @@ pub fn repro(parsed: &ParsedArgs) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{dispatch, CliError};
-
-    fn run(args: &[&str]) -> Result<String, CliError> {
-        dispatch(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    }
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("redspot-cli-repro-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
+    use crate::kit::{cli, ok, tmp};
+    use crate::CliError;
+    use std::path::Path;
 
     #[test]
     fn unknown_or_missing_artifact_lists_the_valid_names() {
-        for args in [&["repro", "fig9"][..], &["repro"]] {
-            let Err(CliError::Usage(msg)) = run(args) else {
+        for args in [&["repro", "fig9"][..], &["repro", "table5"], &["repro"]] {
+            let Err(CliError::Usage(msg)) = cli(args) else {
                 panic!("{args:?} should be a usage error");
             };
             for name in ["all", "fig2", "table3", "ablate-history"] {
@@ -97,7 +86,7 @@ mod tests {
 
     #[test]
     fn mechanics_prints_both_timelines() {
-        let out = run(&["repro", "mechanics"]).unwrap();
+        let out = ok(&["repro", "mechanics"]);
         assert!(out.starts_with("Figure 1 — "), "{out}");
         assert!(out.contains("\nFigure 3 — "), "{out}");
         assert_eq!(out.matches("price : ").count(), 2, "{out}");
@@ -105,27 +94,23 @@ mod tests {
 
     #[test]
     fn analysis_commands_produce_output() {
-        let out = run(&["repro", "var-analysis", "--n", "1"]).unwrap();
+        let out = ok(&["repro", "var-analysis", "--n", "1"]);
         assert!(out.contains("orders of magnitude"));
-        let out = run(&["repro", "queuing-delay", "--n", "1"]).unwrap();
+        let out = ok(&["repro", "queuing-delay", "--n", "1"]);
         assert!(out.contains("299.6"));
     }
 
     #[test]
     fn fig6_writes_every_panel_and_refuses_to_clobber() {
-        let dir = tmp("fig6-svg");
-        let out = tmp("fig6.json");
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_file(&out);
-        let (dir_s, out_s) = (dir.to_str().unwrap(), out.to_str().unwrap());
-        let args = ["repro", "fig6", "--n", "1", "--svg", dir_s, "--out", out_s];
-        let text = run(&args).unwrap();
+        let (dir, out) = (tmp("fig6-svg"), tmp("fig6.json"));
+        let args = ["repro", "fig6", "--n", "1", "--svg", &dir, "--out", &out];
+        let text = ok(&args);
         assert!(text.contains("Figure 6 (stress)"), "{text}");
         for stem in ["fig6a", "fig6b", "fig6_stress"] {
-            let svg = std::fs::read_to_string(dir.join(format!("{stem}.svg"))).unwrap();
-            assert!(svg.ends_with("</svg>"), "{stem}");
+            let svg = std::fs::read_to_string(Path::new(&dir).join(format!("{stem}.svg")));
+            assert!(svg.unwrap().ends_with("</svg>"), "{stem}");
         }
-        let panels = redspot_exp::results::load(&out).unwrap();
+        let panels = redspot_exp::results::load(Path::new(&out)).unwrap();
         let titles: Vec<&str> = panels.iter().map(|p| p.title.as_str()).collect();
         assert_eq!(titles.len(), 3, "{titles:?}");
         assert_eq!(titles[2], "fig6 stress");
@@ -134,8 +119,8 @@ mod tests {
         // A second run without --force refuses before doing any work and
         // leaves the artifact untouched.
         let before = std::fs::read(&out).unwrap();
-        let Err(CliError::Usage(msg)) = run(&args) else {
-            panic!("a second run must refuse to overwrite {out_s}");
+        let Err(CliError::Usage(msg)) = cli(&args) else {
+            panic!("a second run must refuse to overwrite {out}");
         };
         assert!(msg.contains("already exists"), "{msg}");
         assert_eq!(std::fs::read(&out).unwrap(), before);

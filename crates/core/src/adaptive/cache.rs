@@ -39,8 +39,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use super::ForecastMode;
-
 /// One evaluated permutation: everything `choose` derives for a row
 /// before the `(remaining compute, remaining time)`-dependent ranking.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,10 +76,6 @@ pub struct ScopeKey {
     pub costs: CkptCosts,
     /// Bid cap.
     pub max_bid: Price,
-    /// Permutation evaluation strategy (Naive and Scan are pinned
-    /// bit-identical, but they stay in separate scopes so the cache never
-    /// substitutes one mode's arithmetic for the other's).
-    pub forecast: ForecastMode,
 }
 
 /// Full cache key: an interned scope plus the canonical window.
@@ -244,7 +238,6 @@ mod tests {
             policy_kinds: vec![PolicyKind::Periodic],
             costs: CkptCosts::LOW,
             max_bid: Price::from_millis(max_bid),
-            forecast: ForecastMode::Scan,
         }
     }
 

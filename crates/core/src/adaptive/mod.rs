@@ -28,21 +28,6 @@ use redspot_trace::{Price, SimDuration, SimTime, TraceHandle, Window, ZoneId};
 use scan::{PermutationScan, ScanSeed};
 use std::sync::{Arc, OnceLock};
 
-/// How the controller evaluates the permutation space at a decision point.
-///
-/// Both modes produce bit-identical decisions (pinned by the property
-/// suite); `Naive` exists as the reference implementation and for
-/// benchmarking the speedup of the scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForecastMode {
-    /// One full history walk per `(B, N, policy)` permutation.
-    Naive,
-    /// One shared [`PermutationScan`] per decision point, advanced
-    /// incrementally between decision points.
-    #[default]
-    Scan,
-}
-
 /// Tuning knobs for the adaptive controller.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
@@ -57,11 +42,6 @@ pub struct AdaptiveConfig {
     pub history: SimDuration,
     /// Hard cap on the bid (user-configurable in the paper).
     pub max_bid: Price,
-    /// Permutation evaluation strategy.
-    pub forecast: ForecastMode,
-    /// Worker threads for the scan's cold build (≤ 1 = serial). Results
-    /// are bit-identical for any value.
-    pub scan_threads: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -76,8 +56,6 @@ impl Default for AdaptiveConfig {
             policy_kinds: vec![PolicyKind::Periodic, PolicyKind::MarkovDaly],
             history: SimDuration::from_hours(24),
             max_bid: Price::from_millis(3_070),
-            forecast: ForecastMode::Scan,
-            scan_threads: 1,
         }
     }
 }
@@ -125,6 +103,9 @@ pub struct AdaptiveRunner {
     uptime: Option<Arc<redspot_markov::UptimeMemo>>,
     /// Interned scope id in `cache`, resolved on first use.
     scope: OnceLock<u32>,
+    /// Walk history once per permutation instead of sharing one
+    /// [`PermutationScan`]: the reference the scan is pinned against.
+    naive: bool,
 }
 
 impl AdaptiveRunner {
@@ -159,12 +140,24 @@ impl AdaptiveRunner {
             scan_seed: None,
             uptime: None,
             scope: OnceLock::new(),
+            naive: false,
         }
     }
 
     /// Override the adaptive tuning.
     pub fn with_config(mut self, acfg: AdaptiveConfig) -> AdaptiveRunner {
         self.acfg = acfg;
+        self
+    }
+
+    /// Evaluate every permutation with its own full history walk instead
+    /// of the shared scan. Decisions are bit-identical (pinned by
+    /// `tests/scan_properties.rs`); this exists as that test's reference
+    /// and as the baseline of `bench_adaptive`. A naive runner never
+    /// reads or writes the [`DecisionCache`].
+    #[doc(hidden)]
+    pub fn with_naive_forecasts(mut self) -> AdaptiveRunner {
+        self.naive = true;
         self
     }
 
@@ -275,7 +268,8 @@ impl AdaptiveRunner {
         tally: &mut CacheTally,
         window: Window,
     ) -> Arc<DecisionTable> {
-        let Some(cache) = self.cache.as_ref().filter(|_| !self.base.zones.is_empty()) else {
+        let cached = !self.naive && !self.base.zones.is_empty();
+        let Some(cache) = self.cache.as_ref().filter(|_| cached) else {
             return Arc::new(self.build_table(scan, window));
         };
         let scope = *self.scope.get_or_init(|| cache.scope_id(&self.scope_key()));
@@ -305,38 +299,29 @@ impl AdaptiveRunner {
             policy_kinds: self.acfg.policy_kinds.clone(),
             costs: self.base.costs,
             max_bid: self.acfg.max_bid,
-            forecast: self.acfg.forecast,
         }
     }
 
     /// Compute the table for `window`, reusing (and advancing) the cached
-    /// scan in scan mode.
+    /// scan unless this runner is naive.
     fn build_table(&self, scan: &mut Option<PermutationScan>, window: Window) -> DecisionTable {
-        match self.acfg.forecast {
-            ForecastMode::Naive => self.build_table_naive(window),
-            ForecastMode::Scan => {
-                if let Some(s) = scan.as_mut() {
-                    s.advance(&self.traces, window);
-                } else {
-                    *scan = Some(match &self.scan_seed {
-                        Some(seed) => PermutationScan::build_seeded(
-                            &self.traces,
-                            Arc::clone(seed),
-                            window,
-                            self.acfg.scan_threads,
-                        ),
-                        None => PermutationScan::build(
-                            &self.traces,
-                            &self.base.zones,
-                            &self.acfg.bid_grid,
-                            window,
-                            self.acfg.scan_threads,
-                        ),
-                    });
-                }
-                self.build_table_scanned(scan.as_ref().expect("scan installed above"))
-            }
+        if self.naive {
+            return self.build_table_naive(window);
         }
+        if let Some(s) = scan.as_mut() {
+            s.advance(&self.traces, window);
+        } else {
+            *scan = Some(match &self.scan_seed {
+                Some(seed) => PermutationScan::build_seeded(&self.traces, Arc::clone(seed), window),
+                None => PermutationScan::build(
+                    &self.traces,
+                    &self.base.zones,
+                    &self.acfg.bid_grid,
+                    window,
+                ),
+            });
+        }
+        self.build_table_scanned(scan.as_ref().expect("scan installed above"))
     }
 
     /// Reference table builder: one full history walk per permutation.
@@ -595,12 +580,6 @@ impl DecisionSession {
             remaining_compute,
             remaining_time,
         )
-    }
-
-    /// Cache hits/misses accumulated by this session's decisions (always
-    /// zero when the runner has no market context attached).
-    pub fn cache_tally(&self) -> CacheTally {
-        self.tally
     }
 }
 

@@ -31,19 +31,14 @@
 //! Successive decision points share most of their history window, so
 //! [`advance`](PermutationScan::advance) retires and appends only the
 //! delta steps when the new window's grid is compatible (same step phase,
-//! overlapping span) and falls back to a full rebuild otherwise. The cold
-//! build distributes zones over a crossbeam-scoped worker pool through a
-//! shared atomic cursor — the same rayon-free pattern as
-//! `redspot-exp::parallel` — and is bit-identical for any thread count
-//! because each zone's ledger is computed independently.
+//! overlapping span) and falls back to a full rebuild otherwise.
 
 use super::forecast::{forecast_from_stats, Forecast, WindowStats};
 use crate::policy::PolicyKind;
 use redspot_ckpt::CkptCosts;
 use redspot_trace::{Price, SimDuration, SimTime, TraceSet, Window, ZoneId, PRICE_STEP};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Sentinel bucket for "no bid in the grid affords this step".
 const NO_BID: u16 = u16::MAX;
@@ -187,8 +182,6 @@ pub struct PermutationScan {
     bids: Vec<Price>,
     /// The experiment's zones, in mask order.
     zones: Vec<ZoneId>,
-    /// Worker threads for the cold per-zone build (≤ 1 = serial).
-    threads: usize,
     /// Grid origin (clamped window start); meaningless when `n_steps == 0`.
     lo: SimTime,
     /// Probe steps on the canonical grid; 0 = empty effective window.
@@ -231,7 +224,7 @@ fn probe(
 }
 
 /// Bucket one zone's prices over the grid. This is the only part of the
-/// scan that touches the trace, and the unit of build parallelism.
+/// scan that touches the trace.
 fn build_ledger(
     traces: &TraceSet,
     seed: Option<&ScanSeed>,
@@ -262,14 +255,12 @@ fn min_bid_index(bids: &[Price], price: Price) -> u16 {
 
 impl PermutationScan {
     /// Build the scan for `window`. `zones` is the experiment's zone list
-    /// (mask order); `bid_grid` may be in any order. `threads > 1` fans
-    /// the per-zone bucketing out over scoped workers.
+    /// (mask order); `bid_grid` may be in any order.
     pub fn build(
         traces: &TraceSet,
         zones: &[ZoneId],
         bid_grid: &[Price],
         window: Window,
-        threads: usize,
     ) -> PermutationScan {
         assert!(
             bid_grid.len() < NO_BID as usize,
@@ -280,7 +271,6 @@ impl PermutationScan {
         let mut scan = PermutationScan {
             bids,
             zones: zones.to_vec(),
-            threads,
             lo: SimTime::ZERO,
             n_steps: 0,
             floored: false,
@@ -299,16 +289,10 @@ impl PermutationScan {
     /// bid grid come from the seed, and every probe (cold build *and*
     /// incremental advance) is an array lookup instead of a price read.
     /// Bit-identical to an unseeded build of the same window.
-    pub fn build_seeded(
-        traces: &TraceSet,
-        seed: Arc<ScanSeed>,
-        window: Window,
-        threads: usize,
-    ) -> PermutationScan {
+    pub fn build_seeded(traces: &TraceSet, seed: Arc<ScanSeed>, window: Window) -> PermutationScan {
         let mut scan = PermutationScan {
             bids: seed.bids.clone(),
             zones: seed.zones.clone(),
-            threads,
             lo: SimTime::ZERO,
             n_steps: 0,
             floored: false,
@@ -406,23 +390,12 @@ impl PermutationScan {
                 self.floored =
                     window.end().min(traces.end()).since(lo) < SimDuration::from_secs(PRICE_STEP);
                 let seed = self.seed.as_deref();
-                self.ledgers = if self.threads > 1 && self.zones.len() > 1 {
-                    build_ledgers_parallel(
-                        traces,
-                        seed,
-                        &self.zones,
-                        lo,
-                        n_steps,
-                        &self.bids,
-                        self.threads,
-                    )
-                } else {
-                    self.zones
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &z)| build_ledger(traces, seed, i, z, lo, n_steps, &self.bids))
-                        .collect()
-                };
+                self.ledgers = self
+                    .zones
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &z)| build_ledger(traces, seed, i, z, lo, n_steps, &self.bids))
+                    .collect();
             }
         }
         self.rebuild_derived();
@@ -480,11 +453,6 @@ impl PermutationScan {
             "bid {bid} not in the scan's grid"
         );
         j
-    }
-
-    /// Affordable-step count of one zone (by mask position) at a bid.
-    pub fn availability_count(&self, zone_pos: usize, bid_idx: usize) -> u64 {
-        self.avail[zone_pos][bid_idx]
     }
 
     /// Rank zones by availability at `bids[bid_idx]` over the window and
@@ -558,44 +526,6 @@ impl PermutationScan {
     }
 }
 
-/// Fan the per-zone bucketing out over scoped workers pulling zone indices
-/// from a shared cursor (the `redspot-exp::parallel` pattern). Each zone's
-/// ledger is computed independently, so results are bit-identical to the
-/// serial build for any thread count.
-fn build_ledgers_parallel(
-    traces: &TraceSet,
-    seed: Option<&ScanSeed>,
-    zones: &[ZoneId],
-    lo: SimTime,
-    n_steps: u64,
-    bids: &[Price],
-    threads: usize,
-) -> Vec<ZoneLedger> {
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ZoneLedger>>> = zones.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(zones.len()) {
-            scope.spawn(|_| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= zones.len() {
-                    break;
-                }
-                let ledger = build_ledger(traces, seed, i, zones[i], lo, n_steps, bids);
-                *slots[i].lock().expect("slot poisoned") = Some(ledger);
-            });
-        }
-    })
-    .expect("scan worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("slot poisoned")
-                .expect("every slot filled")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,7 +568,7 @@ mod tests {
     fn scan_stats_match_naive_walk() {
         let t = zig3(48);
         let w = Window::new(SimTime::from_hours(3), SimTime::from_hours(27));
-        let scan = PermutationScan::build(&t, &all_zones(&t), &grid(), w, 1);
+        let scan = PermutationScan::build(&t, &all_zones(&t), &grid(), w);
         for (j, &bid) in grid().iter().enumerate() {
             for mask in [
                 vec![true, false, false],
@@ -664,7 +594,7 @@ mod tests {
         let t = zig3(24);
         let w = Window::new(SimTime::ZERO, SimTime::from_hours(24));
         let messy = vec![m(1_500), m(270), m(810), m(810)];
-        let scan = PermutationScan::build(&t, &all_zones(&t), &messy, w, 1);
+        let scan = PermutationScan::build(&t, &all_zones(&t), &messy, w);
         let j = scan.bid_index(m(810));
         assert_eq!(scan.bids[j], m(810));
         let naive = window_stats(&t, &all_zones(&t), w, m(810));
@@ -675,7 +605,7 @@ mod tests {
     fn empty_effective_window_scans_empty() {
         let t = zig3(24); // covers [0, 24 h)
         let w = Window::new(SimTime::from_hours(24), SimTime::from_hours(30));
-        let scan = PermutationScan::build(&t, &all_zones(&t), &grid(), w, 1);
+        let scan = PermutationScan::build(&t, &all_zones(&t), &grid(), w);
         assert_eq!(scan.n_steps(), 0);
         assert_eq!(scan.stats(0, &[true, true, true]), WindowStats::default());
         assert_eq!(
@@ -696,7 +626,6 @@ mod tests {
             &zones,
             &grid(),
             Window::new(SimTime::ZERO, SimTime::from_hours(25)),
-            1,
         );
         // Hour-by-hour advance, deliberately running off the trace end so
         // the clamped-end (shrinking) path is exercised too.
@@ -704,7 +633,7 @@ mod tests {
             let now = SimTime::from_hours(now_h);
             let w = Window::new(now.saturating_sub(history), now);
             scan.advance(&t, w);
-            let cold = PermutationScan::build(&t, &zones, &grid(), w, 1);
+            let cold = PermutationScan::build(&t, &zones, &grid(), w);
             assert_eq!(scan.n_steps(), cold.n_steps(), "at {now_h} h");
             for j in 0..grid().len() {
                 assert_eq!(
@@ -726,7 +655,6 @@ mod tests {
             &zones,
             &grid(),
             Window::new(SimTime::from_hours(10), SimTime::from_hours(34)),
-            1,
         );
         for w in [
             // Backwards.
@@ -740,7 +668,7 @@ mod tests {
             Window::new(SimTime::from_hours(40), SimTime::from_hours(47)),
         ] {
             scan.advance(&t, w);
-            let cold = PermutationScan::build(&t, &zones, &grid(), w, 1);
+            let cold = PermutationScan::build(&t, &zones, &grid(), w);
             for j in 0..grid().len() {
                 assert_eq!(
                     scan.stats(j, &[true, true, true]),
@@ -763,8 +691,8 @@ mod tests {
         assert_eq!(seed.zones(), zones);
         let history = SimDuration::from_hours(24);
         let w0 = Window::new(SimTime::ZERO, SimTime::from_hours(25));
-        let mut seeded = PermutationScan::build_seeded(&t, Arc::clone(&seed), w0, 1);
-        let mut plain = PermutationScan::build(&t, &zones, &grid(), w0, 1);
+        let mut seeded = PermutationScan::build_seeded(&t, Arc::clone(&seed), w0);
+        let mut plain = PermutationScan::build(&t, &zones, &grid(), w0);
         // Walk past the trace end so clamped/empty grids go through the
         // seeded probe path too.
         for now_h in 26..80u64 {
@@ -809,24 +737,6 @@ mod tests {
             let (k, millis) = seed.bucket_at(0, t_probe);
             assert_eq!(k, min_bid_index(&seed.bids, price), "at {t_probe}");
             assert_eq!(millis, price.millis(), "at {t_probe}");
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        let t = zig3(60);
-        let zones = all_zones(&t);
-        let w = Window::new(SimTime::from_hours(5), SimTime::from_hours(29));
-        let serial = PermutationScan::build(&t, &zones, &grid(), w, 1);
-        let parallel = PermutationScan::build(&t, &zones, &grid(), w, 4);
-        for j in 0..grid().len() {
-            for n in 1..=3 {
-                assert_eq!(serial.top_zones(j, n), parallel.top_zones(j, n));
-            }
-            assert_eq!(
-                serial.stats(j, &[true, true, true]),
-                parallel.stats(j, &[true, true, true])
-            );
         }
     }
 }

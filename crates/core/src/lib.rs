@@ -24,7 +24,7 @@ pub mod telemetry;
 pub use adaptive::cache::{CacheStats, CacheTally, DecisionCache};
 pub use adaptive::ctx::MarketCtx;
 pub use adaptive::scan::{PermutationScan, ScanSeed};
-pub use adaptive::{AdaptiveConfig, AdaptiveRunner, DecisionSession, ForecastMode};
+pub use adaptive::{AdaptiveConfig, AdaptiveRunner, DecisionSession};
 pub use backoff::Backoff;
 pub use config::{ConfigError, ExperimentConfig, IntoValidated, ValidatedConfig};
 pub use degrade::DegradePolicy;

@@ -312,17 +312,6 @@ pub struct ApiStats {
     pub od_retries: u64,
 }
 
-impl ApiStats {
-    /// Whether the run saw any control-plane failure at all.
-    pub fn any_failures(&self) -> bool {
-        self.spot_retries > 0
-            || self.breaker_trips > 0
-            || self.stale_price_reads > 0
-            || self.terminate_retries > 0
-            || self.od_retries > 0
-    }
-}
-
 /// Outcome of one simulated experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunResult {

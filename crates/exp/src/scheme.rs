@@ -6,7 +6,6 @@ use redspot_core::{
     on_demand_run, AdaptiveRunner, Engine, ExperimentConfig, MarketCtx, PolicyKind, Recorder,
     RunMetrics, RunResult,
 };
-use redspot_market::DelayModel;
 use redspot_trace::{Price, SimTime, ZoneId};
 use serde::{Deserialize, Serialize};
 
@@ -204,13 +203,6 @@ pub(crate) fn mix_seed(base: u64, spec: &RunSpec) -> u64 {
         Scheme::OnDemand => eat(5),
     }
     h
-}
-
-/// Convenience used throughout the harness: run with the zero-delay model
-/// replaced by the paper's (kept for signature parity; `run_one` already
-/// uses the paper delay model via `Engine::new`).
-pub fn delay_model() -> DelayModel {
-    DelayModel::paper()
 }
 
 #[cfg(test)]

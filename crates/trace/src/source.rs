@@ -103,17 +103,34 @@ pub enum TraceSource {
     },
 }
 
+/// The one format rule for trace files: CSV by `.csv` extension, else
+/// JSON.
+fn is_csv(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "csv")
+}
+
 /// Load a trace file, dispatching on the extension. The shared loader
 /// behind [`TraceSource::File`] and [`TraceSource::Bootstrap`]; CLI
 /// commands with genuinely file-only semantics (`describe`,
 /// `validate-trace`) use it directly.
 pub fn load_trace_file(path: &Path) -> Result<TraceSet, String> {
-    let load = if path.extension().is_some_and(|e| e == "csv") {
+    let load = if is_csv(path) {
         io::load_csv(path)
     } else {
         io::load_json(path)
     };
     load.map_err(|e| format!("cannot load trace {}: {e}", path.display()))
+}
+
+/// Save a trace file in the format its extension names — the inverse of
+/// [`load_trace_file`].
+pub fn save_trace_file(set: &TraceSet, path: &Path) -> Result<(), String> {
+    let save = if is_csv(path) {
+        io::save_csv(set, path)
+    } else {
+        io::save_json(set, path)
+    };
+    save.map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 impl TraceSource {
@@ -189,7 +206,10 @@ mod tests {
         let csv = tmp("src.csv");
         io::save_json(&set, &json).unwrap();
         io::save_csv(&set, &csv).unwrap();
-        for path in [json, csv] {
+        // save_trace_file applies the same extension rule on the way out.
+        let saved = tmp("saved.csv");
+        save_trace_file(&set, &saved).unwrap();
+        for path in [json, csv, saved] {
             let loaded = TraceSource::File { path }.resolve().unwrap();
             assert_eq!(loaded, set);
         }

@@ -58,8 +58,8 @@ pub mod prelude {
     pub use redspot_ckpt::workloads;
     pub use redspot_ckpt::{AppSpec, CkptCosts, DalyOrder, Workload};
     pub use redspot_core::{
-        on_demand_run, AdaptiveConfig, AdaptiveRunner, Engine, ExperimentConfig, ForecastMode,
-        PolicyKind, RunResult,
+        on_demand_run, AdaptiveConfig, AdaptiveRunner, Engine, ExperimentConfig, PolicyKind,
+        RunResult,
     };
     pub use redspot_market::{DelayModel, SpotMarket};
     pub use redspot_trace::bootstrap::{resample, BootstrapConfig};

@@ -5,8 +5,7 @@
 //! bid grid, and zone mask, it must produce *exactly* the integers and
 //! floats of the naive per-permutation history walk — and a full adaptive
 //! run driven by it must be byte-equal to one driven by the naive walk,
-//! for any scan thread count, with or without the incremental window
-//! cache.
+//! with or without the incremental window cache.
 
 use proptest::prelude::*;
 use redspot::core::adaptive::forecast::{estimate, window_stats, Forecast};
@@ -93,7 +92,7 @@ proptest! {
 
     /// For every (bid, zone mask, policy) permutation, the scan's integer
     /// window statistics and the resulting float forecast are bit-equal to
-    /// the naive walk's — at 1 and 4 scan threads.
+    /// the naive walk's.
     #[test]
     fn scan_forecasts_are_bit_identical_to_naive(
         traces in arb_traces(),
@@ -101,10 +100,9 @@ proptest! {
         grid in arb_grid(),
     ) {
         let zones: Vec<ZoneId> = traces.zone_ids().collect();
-        let scan1 = PermutationScan::build(&traces, &zones, &grid, window, 1);
-        let scan4 = PermutationScan::build(&traces, &zones, &grid, window, 4);
+        let scan = PermutationScan::build(&traces, &zones, &grid, window);
         for &bid in &grid {
-            let j = scan1.bid_index(bid);
+            let j = scan.bid_index(bid);
             for mask in zone_masks(zones.len()) {
                 let selected: Vec<ZoneId> = zones
                     .iter()
@@ -112,8 +110,7 @@ proptest! {
                     .filter_map(|(&z, &on)| on.then_some(z))
                     .collect();
                 let naive = window_stats(&traces, &selected, window, bid);
-                prop_assert_eq!(scan1.stats(j, &mask), naive, "stats bid {} mask {:?}", bid, &mask);
-                prop_assert_eq!(scan4.stats(j, &mask), naive, "threaded stats diverged");
+                prop_assert_eq!(scan.stats(j, &mask), naive, "stats bid {} mask {:?}", bid, &mask);
                 for kind in [
                     PolicyKind::Periodic,
                     PolicyKind::MarkovDaly,
@@ -121,7 +118,7 @@ proptest! {
                     PolicyKind::RandomizedBid(0xB1D),
                 ] {
                     let reference = estimate(&traces, &selected, window, bid, CkptCosts::LOW, kind);
-                    let scanned = scan1.forecast(j, &mask, CkptCosts::LOW, kind);
+                    let scanned = scan.forecast(j, &mask, CkptCosts::LOW, kind);
                     prop_assert_eq!(
                         forecast_bits(&scanned),
                         forecast_bits(&reference),
@@ -154,13 +151,12 @@ proptest! {
             &zones,
             &grid,
             Window::new(now.saturating_sub(back), now),
-            1,
         );
         for &d in &deltas {
             now += SimDuration::from_secs(d);
             let window = Window::new(now.saturating_sub(back), now);
             scan.advance(&traces, window);
-            let cold = PermutationScan::build(&traces, &zones, &grid, window, 1);
+            let cold = PermutationScan::build(&traces, &zones, &grid, window);
             prop_assert_eq!(scan.n_steps(), cold.n_steps());
             for &bid in &grid {
                 let j = scan.bid_index(bid);
@@ -214,7 +210,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A full adaptive experiment is byte-equal across the naive decision
-    /// loop, the cached scan, and the scan at 4 threads.
+    /// loop and the cached scan.
     #[test]
     fn adaptive_runs_are_byte_equal_across_modes(
         traces in arb_market(),
@@ -230,9 +226,7 @@ proptest! {
 
         // Put all four scanable policies in the permutation grid — the
         // stochastic pair must not break scan/naive bit-equality either.
-        let mode = |forecast, scan_threads| AdaptiveConfig {
-            forecast,
-            scan_threads,
+        let acfg = AdaptiveConfig {
             policy_kinds: vec![
                 PolicyKind::Periodic,
                 PolicyKind::MarkovDaly,
@@ -242,17 +236,14 @@ proptest! {
             ..AdaptiveConfig::default()
         };
         let naive = AdaptiveRunner::new(&traces, start, cfg.clone())
-            .with_config(mode(ForecastMode::Naive, 1))
+            .with_config(acfg.clone())
+            .with_naive_forecasts()
             .run();
-        let scanned = AdaptiveRunner::new(&traces, start, cfg.clone())
-            .with_config(mode(ForecastMode::Scan, 1))
-            .run();
-        let threaded = AdaptiveRunner::new(&traces, start, cfg)
-            .with_config(mode(ForecastMode::Scan, 4))
+        let scanned = AdaptiveRunner::new(&traces, start, cfg)
+            .with_config(acfg)
             .run();
 
         prop_assert_eq!(&naive, &scanned, "scan changed the run");
-        prop_assert_eq!(&scanned, &threaded, "thread count changed the run");
         prop_assert!(naive.met_deadline);
     }
 }
