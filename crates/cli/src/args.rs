@@ -240,7 +240,8 @@ USAGE:
                                     # the format follows the --out extension (.csv
                                     # is CSV, anything else JSON), so --trace FILE
                                     # converts between the two
-  redspot calibrate --trace FILE --out PROFILE.json [--force]
+  redspot calibrate (--trace FILE | FILE | --bootstrap-from FILE | --profile P)
+                    [--seed N] --out PROFILE.json [--force]
                                     # fit generator parameters (price level,
                                     # volatility, spell lengths, change-point
                                     # density) to an observed trace; the emitted
@@ -327,8 +328,8 @@ USAGE:
   redspot help
 
 Every simulating command (run, sweep, chaos, fleet, era-compare,
-policy-compare, serve preload) and gen-trace draw their market from one
-shared trace source, resolved in this order:
+policy-compare, serve preload), gen-trace and calibrate draw their market
+from one shared trace source, resolved in this order:
   --trace FILE                      # load a recorded JSON/CSV trace verbatim
   --bootstrap-from FILE [--block-hours H] [--days D]
                                     # block-bootstrap a synthetic ensemble member
@@ -336,8 +337,9 @@ shared trace source, resolved in this order:
   --profile low|high|year|calibrated:FILE   (default: high)
                                     # regenerate from a stock or fitted profile,
                                     # seeded by --seed
-Naming more than one source is a usage error. Commands that write files
-(--out) refuse to overwrite an existing file unless --force is passed.
+Naming more than one source is a usage error; calibrate has no default
+and needs one named. Commands that write files (--out) refuse to
+overwrite an existing file unless --force is passed.
 
 Flag --workload NAME (on run) overrides C, t_c and iteration structure
 from the catalog.

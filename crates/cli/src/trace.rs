@@ -27,12 +27,10 @@ pub fn gen_trace(parsed: &ParsedArgs) -> Result<String, CliError> {
     redspot_trace::save_trace_file(&traces, Path::new(out))?;
     let what = match &source {
         TraceSource::Generate {
-            profile: profile @ Profile::Calibrated(_),
+            profile: profile @ (Profile::Low | Profile::High),
             ..
-        } => format!("{profile} trace (seed {seed})"),
-        TraceSource::Generate { profile, .. } => {
-            format!("{profile}-volatility trace (seed {seed})")
-        }
+        } => format!("{profile}-volatility trace (seed {seed})"),
+        TraceSource::Generate { profile, .. } => format!("{profile} trace (seed {seed})"),
         TraceSource::Bootstrap { .. } => "bootstrap variant".to_string(),
         TraceSource::File { path } => format!("trace from {}", path.display()),
     };
@@ -42,12 +40,21 @@ pub fn gen_trace(parsed: &ParsedArgs) -> Result<String, CliError> {
     ))
 }
 
-/// `calibrate`: fit a generator profile to an observed trace, for
+/// `calibrate`: fit a generator profile to the trace the shared source
+/// flags resolve to (a positional path means `--trace`), for
 /// re-generation via `--profile calibrated:FILE` (any subcommand) or
-/// `gen-trace`.
+/// `gen-trace`. There is no default source: fitting the stock `high`
+/// profile unasked would only echo the generator back.
 pub fn calibrate(parsed: &ParsedArgs) -> Result<String, CliError> {
-    let traces = load_trace(parsed)?;
+    let common = parsed.common()?;
+    let source = match (parsed.positional(0), common.source_explicit) {
+        (Some(path), false) => TraceSource::File { path: path.into() },
+        (None, true) => common.source,
+        (Some(_), true) => Err("a positional path and a source flag are mutually exclusive")?,
+        (None, false) => Err("need a trace source: FILE, --trace, --bootstrap-from or --profile")?,
+    };
     let out = parsed.out()?.ok_or("need --out FILE")?;
+    let traces = source.resolve()?;
     let profile = redspot_trace::calibrate::fit(&traces);
     profile
         .save_json(Path::new(out))
@@ -163,6 +170,11 @@ mod tests {
         assert!(out.contains("trace from"), "{out}");
         assert_eq!(std::fs::read(&back).unwrap(), std::fs::read(&json).unwrap());
 
+        // `year` is the 12-month mixed history, not a volatility class.
+        let year = tmp("year.json");
+        let out = ok(&["gen-trace", "--profile", "year", "--out", &year]);
+        assert!(out.contains("wrote year trace (seed 42)"), "{out}");
+
         assert!(err(&["describe", "/nonexistent/trace.json"]).contains("cannot load"));
         assert!(err(&["gen-trace", "--force", "--profile", "weird"]).contains("profile"));
         let both = err(&["gen-trace", "--trace", &json, "--profile", "low"]);
@@ -235,6 +247,29 @@ mod tests {
         assert!(out.contains("wrote calibrated:"), "{out}");
         assert!(ok(&["run", "--profile", &spec, "--start", "48"]).contains("cost $"));
         assert!(err(&["calibrate", "--trace", &src]).contains("--out"));
+
+        // calibrate resolves the shared source flags: fitting the
+        // generated profile directly writes the bytes fitting the same
+        // trace from a file does, and a positional path means --trace.
+        let direct = tmp("calib-direct.json");
+        ok(&[
+            "calibrate",
+            "--profile",
+            "high",
+            "--seed",
+            "6",
+            "--out",
+            &direct,
+        ]);
+        assert_eq!(std::fs::read(&direct).unwrap(), before);
+        let positional = tmp("calib-positional.json");
+        ok(&["calibrate", &src, "--out", &positional]);
+        assert_eq!(std::fs::read(&positional).unwrap(), before);
+        // No source named is still a usage error, not a silent default.
+        let none = err(&["calibrate", "--out", &tmp("calib-none.json")]);
+        assert!(none.contains("need a trace source"), "{none}");
+        let both = err(&["calibrate", &src, "--profile", "high", "--out", &direct]);
+        assert!(both.contains("mutually exclusive"), "{both}");
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   engines are constructed up front and the engine with the smallest
 //!   clock (ties broken by job index) is stepped next, putting every
 //!   pool debit/credit in a single global time order that is
-//!   independent of the requested thread count.
+//!   independent of the requested thread count. A binary heap keyed by
+//!   `(clock, job)` finds that engine in O(log n). No key goes stale:
+//!   engines share the pool but never a clock, so stepping one engine
+//!   moves only its own key, and that key is re-pushed after the step.
 //!
 //! The [`Scheme::Adaptive`] meta-policy drives its engine internally
 //! and cannot be lock-step interleaved, so bounded fleets reject it
@@ -44,6 +47,8 @@ use redspot_market::{
     PoolStats,
 };
 use redspot_trace::Price;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -203,6 +208,12 @@ impl<'a> FleetRequest<'a> {
         } else {
             self.run_lockstep()
         };
+        Ok(self.outcome(pairs))
+    }
+
+    /// Collect per-job `(result, metrics)` pairs, in job order, and the
+    /// pool's final counters into the fleet's outcome.
+    fn outcome(&self, pairs: Vec<(RunResult, RunMetrics)>) -> FleetOutcome {
         let mut metrics = self.metered.then(RunMetrics::default);
         let mut results = Vec::with_capacity(pairs.len());
         for (r, m) in pairs {
@@ -211,12 +222,12 @@ impl<'a> FleetRequest<'a> {
             }
             results.push(r);
         }
-        Ok(FleetOutcome {
+        FleetOutcome {
             results,
             metrics,
             pool: self.pool.stats(),
             pool_balanced: self.pool.fully_released(),
-        })
+        }
     }
 
     /// Unbounded pools: jobs cannot interact, so run them like a batch.
@@ -266,31 +277,36 @@ impl<'a> FleetRequest<'a> {
     /// Bounded pools: construct every engine up front and always step
     /// the one with the smallest clock (ties broken by job index), so
     /// all pool interactions happen in one global time order.
+    ///
+    /// The live engines sit in a min-heap keyed by `(now, job)`. Only
+    /// the popped engine steps, and a step moves no other engine's
+    /// clock (engines share the pool, not time), so every key left in
+    /// the heap is current and the pop order is exactly the order a
+    /// scan for the minimum over all live engines would give.
     fn run_lockstep(&self) -> Vec<(RunResult, RunMetrics)> {
         let n = self.jobs.len();
         let mut out: Vec<Option<(RunResult, RunMetrics)>> = (0..n).map(|_| None).collect();
         // OnDemand jobs never touch the pool; run them directly.
-        let mut engines: Vec<(usize, Engine<MetricsRecorder>)> = Vec::new();
+        let mut engines: Vec<Option<Engine<MetricsRecorder>>> = (0..n).map(|_| None).collect();
+        let mut queue = BinaryHeap::new();
         for (i, j) in self.jobs.iter().enumerate() {
             if matches!(j.spec.scheme, Scheme::OnDemand) {
                 out[i] = Some(run_spec(self.mkt, &j.spec, &j.cfg, MetricsRecorder::new()));
             } else {
-                engines.push((i, contended_engine(self.mkt, j, Arc::clone(&self.pool))));
+                let engine = contended_engine(self.mkt, j, Arc::clone(&self.pool));
+                queue.push(Reverse((engine.now(), i)));
+                engines[i] = Some(engine);
             }
         }
         // The same fuel bound `Engine::run` uses, pooled across jobs.
-        let mut fuel = 50_000_000u64.saturating_mul(engines.len().max(1) as u64);
-        while !engines.is_empty() {
-            let next = engines
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (job, e))| (e.now(), *job))
-                .map(|(k, _)| k)
-                .expect("non-empty engine list");
-            let report = engines[next].1.step();
-            if report.done {
-                let (job, engine) = engines.remove(next);
-                out[job] = Some(engine.run_full());
+        let mut fuel = 50_000_000u64.saturating_mul(queue.len().max(1) as u64);
+        while let Some(Reverse((_, job))) = queue.pop() {
+            let slot = &mut engines[job];
+            let engine = slot.as_mut().expect("queued engines are live");
+            if engine.step().done {
+                out[job] = slot.take().map(Engine::run_full);
+            } else {
+                queue.push(Reverse((engine.now(), job)));
             }
             fuel -= 1;
             assert!(fuel > 0, "fleet exceeded its step budget");
@@ -379,7 +395,10 @@ fn run_contended(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redspot_core::{DegradePolicy, NullRecorder, PolicyKind};
+    use crate::experiments::chaos_fleet::fleet_mix;
+    use proptest::prelude::*;
+    use redspot_core::{DegradePolicy, Era, NullRecorder, PolicyKind};
+    use redspot_trace::gen::GenConfig;
     use redspot_trace::{PriceSeries, SimTime, TraceSet, ZoneId};
 
     fn flat3(price: u64, hours: u64) -> TraceSet {
@@ -522,5 +541,63 @@ mod tests {
                 source: ConfigError::NoZones
             }
         ));
+    }
+
+    /// The lock-step loop the heap replaced, kept as the oracle for its
+    /// order: a linear `min_by_key` scan over the live engines for the
+    /// smallest `(now, job)`, and `Vec::remove` to retire a finished one.
+    fn linear_scan_lockstep(req: &FleetRequest) -> FleetOutcome {
+        let n = req.jobs.len();
+        let mut out: Vec<Option<(RunResult, RunMetrics)>> = (0..n).map(|_| None).collect();
+        let mut engines: Vec<(usize, Engine<MetricsRecorder>)> = Vec::new();
+        for (i, j) in req.jobs.iter().enumerate() {
+            if matches!(j.spec.scheme, Scheme::OnDemand) {
+                out[i] = Some(run_spec(req.mkt, &j.spec, &j.cfg, MetricsRecorder::new()));
+            } else {
+                engines.push((i, contended_engine(req.mkt, j, Arc::clone(&req.pool))));
+            }
+        }
+        while !engines.is_empty() {
+            let next = engines
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (job, e))| (e.now(), *job))
+                .map(|(k, _)| k)
+                .expect("non-empty engine list");
+            if engines[next].1.step().done {
+                let (job, engine) = engines.remove(next);
+                out[job] = Some(engine.run_full());
+            }
+        }
+        req.outcome(out.into_iter().map(|slot| slot.unwrap()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The heap pops engines in exactly the order the linear scan
+        /// picks them, so pool traffic, results and metrics agree bit
+        /// for bit on contended mixed fleets under both eras.
+        #[test]
+        fn heap_lockstep_matches_the_linear_scan(
+            month in 0u64..1_000,
+            n_jobs in 2usize..=48,
+            capacity in 0u64..=3,
+            intensity in prop_oneof![Just(0.0), Just(0.5), Just(1.0)],
+            era in prop_oneof![Just(Era::Classic), Just(Era::Modern)],
+        ) {
+            let mkt = MarketCtx::new(GenConfig::high_volatility(month).generate());
+            let jobs = fleet_mix(&mkt, month, intensity, n_jobs, era);
+            let request = || {
+                FleetRequest::new(&mkt, &jobs, Arc::new(CapacityPool::uniform(3, capacity)))
+                    .metered(true)
+            };
+            let heap = request().execute().unwrap();
+            let scan = linear_scan_lockstep(&request());
+            prop_assert_eq!(heap.results, scan.results);
+            prop_assert_eq!(heap.pool, scan.pool);
+            prop_assert_eq!(heap.pool_balanced, scan.pool_balanced);
+            prop_assert_eq!(heap.metrics, scan.metrics);
+        }
     }
 }
