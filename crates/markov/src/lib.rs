@@ -12,11 +12,10 @@
 pub mod memo;
 #[cfg(test)]
 mod oracle;
-pub mod states;
-pub mod transition;
+mod states;
+mod transition;
 pub mod uptime;
 
 pub use memo::{MemoStats, UptimeMemo};
-pub use states::{StateSpace, DEFAULT_BIN_MILLIS};
-pub use transition::TransitionMatrix;
+pub use states::DEFAULT_BIN_MILLIS;
 pub use uptime::MarkovModel;

@@ -4,12 +4,16 @@
 //! [`DenseModel`] is the Appendix-B uptime computation in its plainest
 //! form: a row-major `n × n` probability matrix, one start state per
 //! propagation, and a fresh distribution per step. [`MarkovModel`] must
-//! return exactly the same `SimDuration` for every query.
+//! return exactly the same `SimDuration` for every query, at every
+//! sampling step.
 
 use crate::states::StateSpace;
 use crate::uptime::{MarkovModel, EXACT_STEPS, MAX_EXPECTED_STEPS};
 use proptest::prelude::*;
-use redspot_trace::{Price, PriceSeries, SimDuration, SimTime, Window, PRICE_STEP};
+use redspot_trace::gen::GenConfig;
+use redspot_trace::{
+    highlight_bids, Price, PriceSeries, SimDuration, SimTime, TraceSet, Window, PRICE_STEP,
+};
 
 /// The dense model: the same states and probabilities as [`MarkovModel`],
 /// stored and propagated without skipping zeros.
@@ -73,7 +77,9 @@ impl DenseModel {
         if current_price > bid {
             return SimDuration::ZERO;
         }
-        let up = self.states.up_mask(bid);
+        let up: Vec<bool> = (0..self.n)
+            .map(|i| self.states.price_of(i) <= bid)
+            .collect();
         let mut dist = vec![0.0f64; self.n];
         dist[self.states.state_of(current_price)] = 1.0;
         if !up[self.states.state_of(current_price)] {
@@ -123,9 +129,14 @@ fn p(millis: u64) -> Price {
     Price::from_millis(millis)
 }
 
-/// The sparse and the dense model of the whole of `prices`.
-fn models(prices: &[u64], bin_millis: u64) -> (MarkovModel, DenseModel) {
-    let series = PriceSeries::new(SimTime::ZERO, prices.iter().map(|&m| p(m)).collect());
+/// The sparse and the dense model of the whole of `prices`, sampled every
+/// `step_secs` seconds.
+fn models(prices: &[u64], bin_millis: u64, step_secs: u64) -> (MarkovModel, DenseModel) {
+    let series = PriceSeries::with_step(
+        SimTime::ZERO,
+        step_secs,
+        prices.iter().map(|&m| p(m)).collect(),
+    );
     let window = Window::new(series.start(), series.end());
     (
         MarkovModel::with_bin(&series, window, bin_millis),
@@ -162,6 +173,12 @@ fn arb_bin() -> impl Strategy<Value = u64> {
     prop_oneof![Just(10u64), Just(50u64)]
 }
 
+/// Sampling steps in seconds. At one second `Th` is 1 itself, so rounding
+/// in the survival decides when a sticky chain stops.
+fn arb_step() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(1u64), Just(2u64), Just(60u64), Just(300u64)]
+}
+
 /// Prices and bids from below the lowest level to above the highest spike.
 fn arb_price() -> impl Strategy<Value = u64> {
     0u64..3_500
@@ -174,14 +191,15 @@ proptest! {
     fn expected_uptime_equals_the_dense_oracle(
         history in arb_history(),
         bin in arb_bin(),
+        step in arb_step(),
         queries in prop::collection::vec((arb_price(), arb_price()), 1..8),
     ) {
-        let (sparse, dense) = models(&history, bin);
+        let (sparse, dense) = models(&history, bin, step);
         for (price, bid) in queries {
             prop_assert_eq!(
                 sparse.expected_uptime(p(price), p(bid)),
                 dense.expected_uptime(p(price), p(bid)),
-                "price {} bid {} bin {}", price, bid, bin
+                "price {} bid {} bin {} step {}", price, bid, bin, step
             );
         }
     }
@@ -190,14 +208,15 @@ proptest! {
     fn average_uptime_equals_the_dense_oracle(
         history in arb_history(),
         bin in arb_bin(),
+        step in arb_step(),
         bids in prop::collection::vec(arb_price(), 1..5),
     ) {
-        let (sparse, dense) = models(&history, bin);
+        let (sparse, dense) = models(&history, bin, step);
         for bid in bids {
             prop_assert_eq!(
                 sparse.average_uptime(p(bid)),
                 dense.average_uptime(p(bid)),
-                "bid {} bin {}", bid, bin
+                "bid {} bin {} step {}", bid, bin, step
             );
         }
     }
@@ -206,10 +225,11 @@ proptest! {
     fn combined_uptime_equals_the_dense_oracle(
         zones in prop::collection::vec((arb_history(), arb_price()), 1..4),
         bin in arb_bin(),
+        step in arb_step(),
         bid in arb_price(),
     ) {
         let (sparse, dense): (Vec<_>, Vec<_>) =
-            zones.iter().map(|(history, _)| models(history, bin)).unzip();
+            zones.iter().map(|(history, _)| models(history, bin, step)).unzip();
         let prices: Vec<Price> = zones.iter().map(|&(_, price)| p(price)).collect();
         let expected = dense
             .iter()
@@ -228,7 +248,7 @@ fn geometric_tail_matches_the_oracle() {
     // near 190.
     let mut history = vec![270; 200];
     history.extend([900, 270]);
-    let (sparse, dense) = models(&history, 10);
+    let (sparse, dense) = models(&history, 10, PRICE_STEP);
     let up = sparse.expected_uptime(p(270), p(500));
     assert_eq!(up, dense.expected_uptime(p(270), p(500)));
     assert!(up.secs().abs_diff(200 * PRICE_STEP) <= 1, "got {up}");
@@ -238,7 +258,7 @@ fn geometric_tail_matches_the_oracle() {
 #[test]
 fn step_cap_matches_the_oracle() {
     // A price that never leaves the bid: survival 1 forever, capped.
-    let (sparse, dense) = models(&[270; 100], 10);
+    let (sparse, dense) = models(&[270; 100], 10, PRICE_STEP);
     let up = sparse.expected_uptime(p(270), p(500));
     assert_eq!(up, dense.expected_uptime(p(270), p(500)));
     assert_eq!(up.secs(), MAX_EXPECTED_STEPS as u64 * PRICE_STEP);
@@ -248,9 +268,100 @@ fn step_cap_matches_the_oracle() {
 #[test]
 fn nudge_matches_the_oracle() {
     // Price 700 snaps to the 900 state, which bid 800 leaves down.
-    let (sparse, dense) = models(&[270, 270, 270, 270, 300, 900, 270, 270, 300, 900, 270], 10);
+    let (sparse, dense) = models(
+        &[270, 270, 270, 270, 300, 900, 270, 270, 300, 900, 270],
+        10,
+        PRICE_STEP,
+    );
     assert_eq!(
         sparse.expected_uptime(p(700), p(800)),
         dense.expected_uptime(p(700), p(800))
     );
+}
+
+#[test]
+fn closed_class_beside_a_leaky_one_matches_the_oracle() {
+    // {270, 280} is closed, with transition probabilities that are not
+    // binary fractions (270 -> 270 is 3/7), so survival from it is 1 only
+    // up to rounding; 300 always moves to the down state 900.
+    let history = [
+        300, 900, 300, 900, 270, 280, 280, 270, 270, 280, 270, 280, 280, 270, 270, 270, 280,
+    ];
+    let bid = p(500);
+    let query = |step: u64| {
+        let (sparse, dense) = models(&history, 10, step);
+        for price in [270, 300] {
+            assert_eq!(
+                sparse.expected_uptime(p(price), bid),
+                dense.expected_uptime(p(price), bid),
+                "price {price} step {step}"
+            );
+        }
+        assert_eq!(sparse.average_uptime(bid), dense.average_uptime(bid));
+        [
+            sparse.expected_uptime(p(270), bid).secs(),
+            sparse.expected_uptime(p(300), bid).secs(),
+            sparse.average_uptime(bid).secs(),
+        ]
+    };
+    // At five minutes the closed start takes the 30-day cap.
+    assert_eq!(query(300), [2_592_000, 300, 1_728_100]);
+    // At one second `Th` is 1, and rounding ends the closed start's sum
+    // after two steps: a start that cannot leave the bid does not always
+    // reach the cap (8,640 s here).
+    assert_eq!(query(1), [2, 1, 3]);
+}
+
+/// The 48-hour windows of every zone of `traces`, `stride_hours` apart.
+fn windows(traces: &TraceSet, stride_hours: u64) -> Vec<(usize, PriceSeries)> {
+    let mut out = Vec::new();
+    for (zone, series) in traces.zones().iter().enumerate() {
+        let mut start = series.start();
+        while start + SimDuration::from_hours(48) <= series.end() {
+            let window = Window::new(start, start + SimDuration::from_hours(48));
+            out.push((zone, series.slice(window)));
+            start += SimDuration::from_hours(stride_hours);
+        }
+    }
+    out
+}
+
+#[test]
+fn generated_windows_match_the_oracle() {
+    // Real windows at the policies' five-cent bin: the paper's markets,
+    // queried as Markov-Daly (from the window's last price) and Threshold
+    // (averaged over up states) do at the highlight bids and above every
+    // level.
+    let mut bids = highlight_bids().to_vec();
+    bids.push(Price::from_dollars(3.07));
+    let markets = [
+        GenConfig::high_volatility(42).generate(),
+        GenConfig::low_volatility(3).generate(),
+    ];
+    let mut compared = 0;
+    for traces in &markets {
+        for (zone, window) in windows(traces, 200) {
+            let whole = Window::new(window.start(), window.end());
+            let sparse = MarkovModel::with_bin(&window, whole, 50);
+            let dense = DenseModel::with_bin(&window, whole, 50);
+            let last = *window.samples().last().expect("non-empty window");
+            for &bid in &bids {
+                let at = format!("zone {zone} window at {} bid {bid}", window.start());
+                assert_eq!(
+                    sparse.expected_uptime(last, bid),
+                    dense.expected_uptime(last, bid),
+                    "{at}"
+                );
+                assert_eq!(
+                    sparse.average_uptime(bid),
+                    dense.average_uptime(bid),
+                    "{at}"
+                );
+                compared += 2;
+            }
+        }
+    }
+    // Four windows (at 0, 200, 400 and 600 h) of six zones, four bids,
+    // two queries.
+    assert_eq!(compared, 192);
 }

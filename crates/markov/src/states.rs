@@ -11,7 +11,7 @@ use redspot_trace::Price;
 /// A discretized price state space: sorted, deduplicated bin
 /// representatives for every price observed in a history.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StateSpace {
+pub(crate) struct StateSpace {
     /// Bin width in milli-dollars.
     bin: u64,
     /// Sorted representative price (bin lower edge) per state.
@@ -26,7 +26,7 @@ impl StateSpace {
     ///
     /// # Panics
     /// Panics if `history` is empty or `bin_millis` is zero.
-    pub fn from_history(history: &[Price], bin_millis: u64) -> StateSpace {
+    pub(crate) fn from_history(history: &[Price], bin_millis: u64) -> StateSpace {
         assert!(!history.is_empty(), "state space needs observations");
         assert!(bin_millis > 0, "bin width must be positive");
         let mut levels: Vec<u64> = history
@@ -42,18 +42,13 @@ impl StateSpace {
     }
 
     /// Number of states `N`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.levels.len()
-    }
-
-    /// Whether the space is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
     }
 
     /// The state index for `price`: its own bin if observed, otherwise the
     /// nearest observed bin (prices outside the history snap to the edge).
-    pub fn state_of(&self, price: Price) -> usize {
+    pub(crate) fn state_of(&self, price: Price) -> usize {
         let q = price.millis() / self.bin * self.bin;
         match self.levels.binary_search(&q) {
             Ok(i) => i,
@@ -74,13 +69,16 @@ impl StateSpace {
     ///
     /// # Panics
     /// Panics if `state` is out of range.
-    pub fn price_of(&self, state: usize) -> Price {
+    #[cfg(test)]
+    pub(crate) fn price_of(&self, state: usize) -> Price {
         Price::from_millis(self.levels[state])
     }
 
-    /// Indicator vector `I(i) = 1 iff price_i ≤ bid` (Appendix B, Eq. 2).
-    pub fn up_mask(&self, bid: Price) -> Vec<bool> {
-        self.levels.iter().map(|&l| l <= bid.millis()).collect()
+    /// Number of up states at `bid`: the indicator `I(i) = 1 iff price_i ≤
+    /// bid` (Appendix B, Eq. 2) holds exactly for the states below this
+    /// count, because levels are sorted.
+    pub(crate) fn up_count(&self, bid: Price) -> usize {
+        self.levels.partition_point(|&l| l <= bid.millis())
     }
 }
 
@@ -114,12 +112,13 @@ mod tests {
     }
 
     #[test]
-    fn up_mask_respects_bid() {
+    fn up_count_respects_bid() {
         let hist = vec![p(270), p(500), p(900)];
         let s = StateSpace::from_history(&hist, 10);
-        assert_eq!(s.up_mask(p(500)), vec![true, true, false]);
-        assert_eq!(s.up_mask(p(100)), vec![false, false, false]);
-        assert_eq!(s.up_mask(p(10_000)), vec![true, true, true]);
+        assert_eq!(s.up_count(p(500)), 2);
+        assert_eq!(s.up_count(p(499)), 1);
+        assert_eq!(s.up_count(p(100)), 0);
+        assert_eq!(s.up_count(p(10_000)), 3);
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! estimate is stable at seconds granularity (the paper's `Th`).
 //!
 //! Every query runs one kernel. Each start state is a lane of one
-//! state-major buffer, and all lanes step through the sparse transition
-//! matrix together: one lane for [`MarkovModel::expected_uptime`], one per
-//! up state for [`MarkovModel::average_uptime`]. A lane's arithmetic is
-//! exactly that of a dense, one-start propagation, so results are
-//! bit-identical to it (the test-only oracle in this crate checks that).
+//! state-major buffer: one lane for [`MarkovModel::expected_uptime`], one
+//! per up state for [`MarkovModel::average_uptime`]. The kernel pulls: the
+//! transition matrix is stored by column, and a step gathers each state's
+//! next mass from its up sources (a prefix of its column, because up
+//! states are the lowest levels), adding it to the survival in the same
+//! pass. Buffers hold up states only. A lane's arithmetic is exactly that
+//! of a dense, one-start propagation, so results are bit-identical to it
+//! (the test-only oracle in this crate checks that).
 
 use crate::states::{StateSpace, DEFAULT_BIN_MILLIS};
 use crate::transition::TransitionMatrix;
@@ -85,18 +88,17 @@ impl MarkovModel {
         if current_price > bid {
             return SimDuration::ZERO;
         }
-        let up = self.states.up_mask(bid);
-        let mut start = self.states.state_of(current_price);
+        let n_up = self.states.up_count(bid);
+        if n_up == 0 {
+            return SimDuration::ZERO;
+        }
         // If quantization snapped the current price into a down state even
         // though current_price <= bid, start from the lowest-priced up
         // state instead; the instance is observably up right now.
-        if !up[start] {
-            match up.iter().position(|&u| u) {
-                Some(i) => start = i,
-                None => return SimDuration::ZERO,
-            }
-        }
-        self.uptimes(&up, &[start])[0]
+        let start = Some(self.states.state_of(current_price))
+            .filter(|&s| s < n_up)
+            .unwrap_or(0);
+        self.uptimes(n_up, &[start])[0]
     }
 
     /// Combined expected up-time across several zones at a common bid: the
@@ -124,18 +126,20 @@ impl MarkovModel {
         // "the probabilistic average up time of a zone". Every up state's
         // price maps to that state and is within the bid, so each one's
         // uptime is `expected_uptime` from it, without a nudge.
-        let up = self.states.up_mask(bid);
-        let ups: Vec<usize> = (0..up.len()).filter(|&i| up[i]).collect();
-        if ups.is_empty() {
+        let n_up = self.states.up_count(bid);
+        if n_up == 0 {
             return SimDuration::ZERO;
         }
-        let total: u64 = self.uptimes(&up, &ups).iter().map(|u| u.secs()).sum();
-        SimDuration::from_secs(total / ups.len() as u64)
+        let starts: Vec<usize> = (0..n_up).collect();
+        let total: u64 = self.uptimes(n_up, &starts).iter().map(|u| u.secs()).sum();
+        SimDuration::from_secs(total / n_up as u64)
     }
 
     /// The uptime kernel behind every query: the expected up-time from each
-    /// of `starts`, in order, each start a lane of one state-major buffer
-    /// propagated through the masked chain at once.
+    /// of `starts` (up states, so below `n_up`), in order, each start a
+    /// lane of one state-major buffer stepped through the up chain at
+    /// once: one lane for [`expected_uptime`](Self::expected_uptime), one
+    /// per up state for [`average_uptime`](Self::average_uptime).
     ///
     /// Every lane follows the single-start rules on its own: E[steps up] =
     /// Σ_k (probability still alive after k steps), stopping once a step's
@@ -144,8 +148,7 @@ impl MarkovModel {
     /// [`MAX_EXPECTED_STEPS`] and rounded to whole seconds. A lane's
     /// arithmetic never depends on the other lanes, so its result is the
     /// one it would get alone; finished lanes leave the buffer.
-    fn uptimes(&self, up: &[bool], starts: &[usize]) -> Vec<SimDuration> {
-        let n = self.states.len();
+    fn uptimes(&self, n_up: usize, starts: &[usize]) -> Vec<SimDuration> {
         let tol = 1.0 / self.step_secs as f64; // seconds granularity (Th)
         let mut out = vec![SimDuration::ZERO; starts.len()];
         let mut lanes: Vec<Lane> = (0..starts.len())
@@ -155,24 +158,18 @@ impl MarkovModel {
                 prev_alive: 1.0,
             })
             .collect();
-        let mut dist = vec![0.0f64; n * lanes.len()];
+        let chain = self.trans.up_chain(n_up);
+        let mut dist = vec![0.0f64; n_up * lanes.len()];
         for (l, &s) in starts.iter().enumerate() {
             dist[s * lanes.len() + l] = 1.0;
         }
         let mut next = vec![0.0f64; dist.len()];
+        let mut scratch = vec![0.0f64; lanes.len()];
         let mut survival = vec![0.0f64; lanes.len()];
         let mut keep = vec![true; lanes.len()];
         for k in 0..EXACT_STEPS {
-            self.trans.step_masked(&dist, up, &mut next);
+            chain.step_lanes(&dist, &mut next, &mut scratch, &mut survival);
             std::mem::swap(&mut dist, &mut next);
-            // Each lane's survival sums its states in state order from
-            // -0.0, exactly as `Iterator::sum` over one distribution.
-            survival.fill(-0.0);
-            for row in dist.chunks_exact(lanes.len()) {
-                for (s, &mass) in survival.iter_mut().zip(row) {
-                    *s += mass;
-                }
-            }
             let last = k + 1 == EXACT_STEPS;
             for ((lane, &alive), kept) in lanes.iter_mut().zip(&survival).zip(&mut keep) {
                 lane.steps += alive;
@@ -211,6 +208,7 @@ impl MarkovModel {
             if lanes.is_empty() {
                 break;
             }
+            scratch.truncate(lanes.len());
             survival.truncate(lanes.len());
             keep.truncate(lanes.len());
         }
