@@ -13,8 +13,10 @@ use std::sync::Arc;
 ///
 /// A `MarketCtx` is immutable after construction (the cache's interior
 /// mutability is thread-safe), so one context can back any number of
-/// concurrent runs. Series samples are `Arc`-backed, so cloning the
-/// embedded [`TraceSet`] into the context is O(zones).
+/// concurrent runs. Series samples and their change-point indexes are
+/// `Arc`-backed, so cloning the embedded [`TraceSet`] into the context is
+/// O(zones), and every run handed [`handle`](Self::handle) searches the
+/// same per-zone index.
 #[derive(Debug)]
 pub struct MarketCtx {
     traces: TraceHandle,
@@ -69,14 +71,19 @@ impl MarketCtx {
         }
     }
 
-    /// The market.
+    /// The market, borrowed, for reading prices. To hand the market to an
+    /// [`crate::Engine`] or [`crate::AdaptiveRunner`], pass
+    /// [`handle`](Self::handle) instead: converting this reference into a
+    /// [`TraceHandle`] allocates a new set per run, and a runner then
+    /// recognises this context by comparing sets instead of pointers.
     pub fn traces(&self) -> &TraceSet {
         &self.traces
     }
 
-    /// The market's shared ownership handle — clone it to hand the same
-    /// allocation to an [`crate::Engine`] or [`crate::AdaptiveRunner`]
-    /// without copying price data.
+    /// The market's shared ownership handle — pass it (or a clone) to an
+    /// [`crate::Engine`] or [`crate::AdaptiveRunner`] to hand over the same
+    /// allocation, with its per-zone change-point indexes, without copying
+    /// anything.
     pub fn handle(&self) -> &TraceHandle {
         &self.traces
     }

@@ -121,7 +121,7 @@ pub fn run_spec<R: Recorder>(
     base: &ExperimentConfig,
     mut recorder: R,
 ) -> (RunResult, RunMetrics) {
-    let traces = mkt.traces();
+    let traces = mkt.handle();
     let mut cfg = base.clone();
     cfg.bid = spec.bid;
     cfg.seed = mix_seed(base.seed, spec);

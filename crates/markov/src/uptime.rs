@@ -60,8 +60,9 @@ impl MarkovModel {
 
     /// Build with an explicit quantization bin width.
     pub fn with_bin(series: &PriceSeries, window: Window, bin_millis: u64) -> MarkovModel {
-        let slice = series.slice(window);
-        let samples = slice.samples();
+        // The samples `series.slice(window)` would copy, borrowed.
+        let (lo, hi) = series.window_indices(window);
+        let samples = &series.samples()[lo..hi];
         let states = StateSpace::from_history(samples, bin_millis);
         let trans = if samples.len() >= 2 {
             TransitionMatrix::from_history(&states, samples)
@@ -72,7 +73,7 @@ impl MarkovModel {
         MarkovModel {
             states,
             trans,
-            step_secs: slice.step(),
+            step_secs: series.step(),
         }
     }
 

@@ -7,8 +7,9 @@
 //! constructor that used to take `&TraceSet` now takes
 //! `impl Into<TraceHandle>`, and the `From<&TraceSet>` impl below makes
 //! the old call shape compile. Converting from a reference clones the
-//! set — O(zones), not O(samples), because per-zone samples already live
-//! behind their own `Arc` (see [`crate::PriceSeries`]).
+//! set — O(zones), not O(samples), because each zone's samples and
+//! change-point index already live behind their own `Arc` (see
+//! [`crate::PriceSeries`]).
 
 use crate::TraceSet;
 use std::ops::Deref;
@@ -53,6 +54,11 @@ impl From<TraceSet> for TraceHandle {
     }
 }
 
+/// Clones the set into a new handle. The clone shares every zone's
+/// samples and change-point index with `t`, but the set and the handle
+/// are new allocations: the handle is [`ptr_eq`](TraceHandle::ptr_eq) to
+/// no other, so code that holds a handle already should pass that (or a
+/// clone of it) instead.
 impl From<&TraceSet> for TraceHandle {
     fn from(t: &TraceSet) -> TraceHandle {
         TraceHandle::new(t.clone())

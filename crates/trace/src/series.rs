@@ -13,26 +13,49 @@ use std::sync::{Arc, OnceLock};
 /// before the first sample return the first sample, queries at or past the
 /// end return the last sample (policies only ever look backwards, so this
 /// clamping only matters at trace edges).
-/// Samples live behind an [`Arc`] so cloning a series (and therefore a
-/// whole [`crate::TraceSet`]) is O(zones), not O(samples) — sweeps hand
-/// the same market to hundreds of cells without copying price data.
+///
+/// The samples and their change-point index (what
+/// [`next_price_change`](Self::next_price_change) searches) live together
+/// behind one [`Arc`]. Cloning a series, and therefore a whole
+/// [`crate::TraceSet`] or a [`crate::TraceHandle`] made from one, is
+/// O(zones), not O(samples), and every clone answers from the same index:
+/// it is built lazily, at most once per sample allocation, however many
+/// clones, handles or threads query it. [`slice`](Self::slice) copies its
+/// samples into a new allocation with an index of its own.
 #[derive(Debug, Clone)]
 pub struct PriceSeries {
     start: SimTime,
     step: u64,
-    prices: Arc<Vec<Price>>,
+    data: Arc<Samples>,
+}
+
+/// A series' samples and the change-point index derived from them, in one
+/// shared allocation.
+#[derive(Debug)]
+struct Samples {
+    prices: Vec<Price>,
     /// Sorted sample indices `j` with `prices[j] != prices[j - 1]`, built
-    /// lazily on the first [`next_price_change`](Self::next_price_change)
-    /// and shared by clones. Derived from `prices`, so it is excluded from
+    /// on the first query. Derived from `prices`, so it is excluded from
     /// equality and serialization (the manual impls below).
-    changes: OnceLock<Arc<[u32]>>,
+    changes: OnceLock<Box<[u32]>>,
+}
+
+impl Samples {
+    fn new(prices: Vec<Price>) -> Arc<Samples> {
+        Arc::new(Samples {
+            prices,
+            changes: OnceLock::new(),
+        })
+    }
 }
 
 /// Equality ignores the lazily-built change-point index: it is a pure
-/// function of `prices`.
+/// function of the samples.
 impl PartialEq for PriceSeries {
     fn eq(&self, other: &PriceSeries) -> bool {
-        self.start == other.start && self.step == other.step && self.prices == other.prices
+        self.start == other.start
+            && self.step == other.step
+            && (Arc::ptr_eq(&self.data, &other.data) || self.data.prices == other.data.prices)
     }
 }
 
@@ -45,7 +68,7 @@ impl Serialize for PriceSeries {
         serde::Value::Map(vec![
             ("start".to_string(), self.start.to_value()),
             ("step".to_string(), self.step.to_value()),
-            ("prices".to_string(), self.prices.to_value()),
+            ("prices".to_string(), self.data.prices.to_value()),
         ])
     }
 }
@@ -62,8 +85,7 @@ impl Deserialize for PriceSeries {
         Ok(PriceSeries {
             start: Deserialize::from_value(field("start")?)?,
             step: Deserialize::from_value(field("step")?)?,
-            prices: Deserialize::from_value(field("prices")?)?,
-            changes: OnceLock::new(),
+            data: Samples::new(Deserialize::from_value(field("prices")?)?),
         })
     }
 }
@@ -90,8 +112,7 @@ impl PriceSeries {
         PriceSeries {
             start,
             step,
-            prices: Arc::new(prices),
-            changes: OnceLock::new(),
+            data: Samples::new(prices),
         }
     }
 
@@ -102,7 +123,7 @@ impl PriceSeries {
 
     /// One past the last instant covered (start + len * step).
     pub fn end(&self) -> SimTime {
-        self.start + SimDuration::from_secs(self.step * self.prices.len() as u64)
+        self.start + SimDuration::from_secs(self.step * self.samples().len() as u64)
     }
 
     /// Sampling step in seconds.
@@ -112,13 +133,13 @@ impl PriceSeries {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.prices.len()
+        self.samples().len()
     }
 
     /// Whether the series has no samples. Always false by construction, but
     /// provided for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.prices.is_empty()
+        self.samples().is_empty()
     }
 
     /// Time span covered.
@@ -128,7 +149,7 @@ impl PriceSeries {
 
     /// Raw samples.
     pub fn samples(&self) -> &[Price] {
-        &self.prices
+        &self.data.prices
     }
 
     /// Index of the sample covering `t`, clamped to the series bounds.
@@ -137,12 +158,12 @@ impl PriceSeries {
             return 0;
         }
         let idx = (t.secs() - self.start.secs()) / self.step;
-        (idx as usize).min(self.prices.len() - 1)
+        (idx as usize).min(self.samples().len() - 1)
     }
 
     /// The spot price in effect at `t`.
     pub fn price_at(&self, t: SimTime) -> Price {
-        self.prices[self.index_at(t)]
+        self.samples()[self.index_at(t)]
     }
 
     /// True when the sample covering `t` is strictly higher than the
@@ -150,12 +171,12 @@ impl PriceSeries {
     /// The first sample is never a rising edge.
     pub fn is_rising_edge(&self, t: SimTime) -> bool {
         let idx = self.index_at(t);
-        idx > 0 && self.prices[idx] > self.prices[idx - 1]
+        idx > 0 && self.samples()[idx] > self.samples()[idx - 1]
     }
 
     /// Iterate over `(sample_start_time, price)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, Price)> + '_ {
-        self.prices
+        self.samples()
             .iter()
             .enumerate()
             .map(move |(i, &p)| (self.start + SimDuration::from_secs(i as u64 * self.step), p))
@@ -178,7 +199,7 @@ impl PriceSeries {
         );
         let hi_excl = {
             let raw = (hi_t.secs().saturating_sub(self.start.secs())).div_ceil(self.step) as usize;
-            raw.clamp(lo + 1, self.prices.len())
+            raw.clamp(lo + 1, self.samples().len())
         };
         (lo, hi_excl)
     }
@@ -194,8 +215,7 @@ impl PriceSeries {
         PriceSeries {
             start: self.start + SimDuration::from_secs(lo as u64 * self.step),
             step: self.step,
-            prices: Arc::new(self.prices[lo..hi_excl].to_vec()),
-            changes: OnceLock::new(),
+            data: Samples::new(self.samples()[lo..hi_excl].to_vec()),
         }
     }
 
@@ -203,44 +223,52 @@ impl PriceSeries {
     pub fn samples_in(&self, window: Window) -> &[Price] {
         let lo = self.index_at(window.start());
         let hi = (self.index_at(window.end().saturating_sub(SimDuration::from_secs(1))) + 1)
-            .min(self.prices.len());
-        &self.prices[lo..hi.max(lo + 1)]
+            .min(self.samples().len());
+        &self.samples()[lo..hi.max(lo + 1)]
     }
 
     /// Minimum price over the whole series.
     pub fn min_price(&self) -> Price {
-        *self.prices.iter().min().expect("non-empty by construction")
+        *self
+            .samples()
+            .iter()
+            .min()
+            .expect("non-empty by construction")
     }
 
     /// Maximum price over the whole series.
     pub fn max_price(&self) -> Price {
-        *self.prices.iter().max().expect("non-empty by construction")
+        *self
+            .samples()
+            .iter()
+            .max()
+            .expect("non-empty by construction")
     }
 
     /// Mean price in dollars (reporting / calibration only).
     pub fn mean_dollars(&self) -> f64 {
-        self.prices.iter().map(|p| p.as_dollars()).sum::<f64>() / self.prices.len() as f64
+        self.samples().iter().map(|p| p.as_dollars()).sum::<f64>() / self.samples().len() as f64
     }
 
     /// Population variance of the price in dollars² (reporting /
     /// calibration only).
     pub fn variance_dollars(&self) -> f64 {
         let mean = self.mean_dollars();
-        self.prices
+        self.samples()
             .iter()
             .map(|p| {
                 let d = p.as_dollars() - mean;
                 d * d
             })
             .sum::<f64>()
-            / self.prices.len() as f64
+            / self.samples().len() as f64
     }
 
     /// Fraction of samples at which the zone would be available at bid `b`
     /// (price ≤ bid).
     pub fn availability_at_bid(&self, bid: Price) -> f64 {
-        let up = self.prices.iter().filter(|&&p| p <= bid).count();
-        up as f64 / self.prices.len() as f64
+        let up = self.samples().iter().filter(|&&p| p <= bid).count();
+        up as f64 / self.samples().len() as f64
     }
 
     /// The canonical forecast sampling grid for `window`: [`PRICE_STEP`]-spaced
@@ -276,11 +304,12 @@ impl PriceSeries {
         up as f64 / n_steps as f64
     }
 
-    /// Sorted indices of samples that differ from their predecessor.
-    /// Built once per allocation (clones share it through the `Arc`).
+    /// Sorted indices of samples that differ from their predecessor,
+    /// built on the first call for this sample allocation and shared by
+    /// every clone of the series.
     fn change_points(&self) -> &[u32] {
-        self.changes.get_or_init(|| {
-            self.prices
+        self.data.changes.get_or_init(|| {
+            self.samples()
                 .windows(2)
                 .enumerate()
                 .filter(|(_, w)| w[0] != w[1])
@@ -303,10 +332,10 @@ impl PriceSeries {
         let ch = self.change_points();
         let pos = ch.partition_point(|&j| j as usize <= idx);
         let j = *ch.get(pos)? as usize;
-        debug_assert_ne!(self.prices[j], self.prices[idx]);
+        debug_assert_ne!(self.samples()[j], self.samples()[idx]);
         Some((
             self.start + SimDuration::from_secs(j as u64 * self.step),
-            self.prices[j],
+            self.samples()[j],
         ))
     }
 }
@@ -314,6 +343,7 @@ impl PriceSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{TraceHandle, TraceSet, ZoneId};
 
     fn p(millis: u64) -> Price {
         Price::from_millis(millis)
@@ -446,6 +476,39 @@ mod tests {
             Some((SimTime::from_secs(900), p(400)))
         );
         assert_eq!(s.next_price_change(SimTime::from_secs(900)), None);
+    }
+
+    #[test]
+    fn clones_share_one_change_point_index() {
+        let index = |s: &PriceSeries| s.change_points().as_ptr();
+        // A clone taken before the first query, queried first or second.
+        for clone_first in [false, true] {
+            let s = series();
+            let early = s.clone();
+            let (first, second) = if clone_first {
+                (&early, &s)
+            } else {
+                (&s, &early)
+            };
+            let want = first.next_price_change(SimTime::ZERO);
+            assert_eq!(second.next_price_change(SimTime::ZERO), want);
+            assert_eq!(index(first), index(second));
+        }
+        // So do the zones of a cloned set and of a handle made from a set.
+        let set = TraceSet::new(vec![series(), series()]);
+        let cloned = set.clone();
+        let handle = TraceHandle::from(&set);
+        for z in set.zone_ids() {
+            let ptr = index(cloned.zone(z));
+            assert_eq!(index(set.zone(z)), ptr);
+            assert_eq!(index(handle.zone(z)), ptr);
+        }
+        assert_ne!(index(set.zone(ZoneId(0))), index(set.zone(ZoneId(1))));
+        // A slice copies its samples, so it builds an index of its own.
+        let s = series();
+        let whole = s.slice(Window::new(s.start(), s.end()));
+        assert_eq!(whole.change_points(), s.change_points());
+        assert_ne!(index(&whole), index(&s));
     }
 
     #[test]

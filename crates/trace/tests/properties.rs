@@ -154,22 +154,68 @@ proptest! {
     /// (including long flat runs, which is where the index pays off) and
     /// arbitrary query times including points before the start and past
     /// the end.
+    ///
+    /// A clone taken before any query answers from the index whichever of
+    /// the two builds it.
     #[test]
     fn next_price_change_matches_linear_rescan(
         runs in prop::collection::vec((1u64..6, 1usize..8), 1..20),
         start in 0u64..2_000,
         query in 0u64..60_000,
+        clone_first in 0u8..2,
     ) {
-        // Build a series from (value, run-length) pairs so flat spans of
-        // every length are exercised, not just i.i.d. samples.
-        let prices: Vec<Price> = runs
-            .iter()
-            .flat_map(|&(v, n)| std::iter::repeat_n(Price::from_millis(v * 100), n))
-            .collect();
-        let s = PriceSeries::new(SimTime::from_secs(start), prices);
+        let s = PriceSeries::new(SimTime::from_secs(start), run_prices(&runs));
+        let early = s.clone();
         let t = SimTime::from_secs(query);
-        prop_assert_eq!(s.next_price_change(t), next_price_change_linear(&s, t));
+        let expected = next_price_change_linear(&s, t);
+        let (first, second) = if clone_first == 1 { (&early, &s) } else { (&s, &early) };
+        prop_assert_eq!(first.next_price_change(t), expected);
+        prop_assert_eq!(second.next_price_change(t), expected);
     }
+}
+
+/// A series built from (value, run-length) pairs, so flat spans of every
+/// length are exercised, not just i.i.d. samples.
+fn run_prices(runs: &[(u64, usize)]) -> Vec<Price> {
+    runs.iter()
+        .flat_map(|&(v, n)| std::iter::repeat_n(Price::from_millis(v * 100), n))
+        .collect()
+}
+
+/// Two threads race to build the one index their clones share: both
+/// answer every query exactly as the linear rescan does.
+#[test]
+fn clones_queried_concurrently_match_linear_rescan() {
+    let runs: Vec<(u64, usize)> = (0..400).map(|i| (1 + i % 5, 1 + i as usize % 7)).collect();
+    let s = PriceSeries::new(SimTime::from_secs(600), run_prices(&runs));
+    let queries: Vec<SimTime> = (0..s.end().secs() + 900)
+        .step_by(97)
+        .map(SimTime::from_secs)
+        .collect();
+    let expected: Vec<_> = queries
+        .iter()
+        .map(|&t| next_price_change_linear(&s, t))
+        .collect();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let forward = s.clone();
+        let backward = s.clone();
+        let (start, queries, expected) = (&start, &queries, &expected);
+        let a = scope.spawn(move || {
+            start.wait();
+            for (t, want) in queries.iter().zip(expected) {
+                assert_eq!(forward.next_price_change(*t), *want, "at {t:?}");
+            }
+        });
+        let b = scope.spawn(move || {
+            start.wait();
+            for (t, want) in queries.iter().zip(expected).rev() {
+                assert_eq!(backward.next_price_change(*t), *want, "at {t:?}");
+            }
+        });
+        a.join().unwrap();
+        b.join().unwrap();
+    });
 }
 
 proptest! {

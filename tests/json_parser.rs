@@ -1,7 +1,8 @@
 //! The JSON parser behind every input redspot reads (protocol lines,
 //! traces, profiles, journals) on inputs that once aborted it or were
-//! wrongly refused: nesting past its depth limit returns an error instead
-//! of overflowing the stack, and escaped surrogate pairs decode.
+//! wrongly refused or accepted: nesting past its depth limit returns an
+//! error instead of overflowing the stack, escaped surrogate pairs decode,
+//! and numbers and strings follow RFC 8259.
 
 use redspot_core::serve::serve_stdio;
 use serde::Value;
@@ -68,4 +69,50 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
     assert_eq!(replies.len(), 2, "{text}");
     assert!(replies[0].contains(r#""ok":false"#), "{text}");
     assert!(replies[1].contains(r#""ok":true"#), "{text}");
+}
+
+#[test]
+fn numbers_follow_rfc_8259() {
+    for bad in [
+        "01", "-01", "00", "1.", "1.e5", "1e", "1e+", "-", "--1", "1-2", "1.5.2",
+    ] {
+        assert!(serde_json::from_str::<Value>(bad).is_err(), "{bad}");
+        let inside = format!("[{bad}]");
+        assert!(serde_json::from_str::<Value>(&inside).is_err(), "{inside}");
+    }
+    assert!(serde_json::from_str::<u64>("01").is_err());
+    for (good, want) in [
+        ("0", Value::UInt(0)),
+        ("-0", Value::Int(0)),
+        ("0.5", Value::Float(0.5)),
+        ("1e5", Value::Float(1e5)),
+        ("1E+5", Value::Float(1e5)),
+        ("-1.5e-3", Value::Float(-1.5e-3)),
+        ("18446744073709551615", Value::UInt(u64::MAX)),
+    ] {
+        assert_eq!(serde_json::from_str::<Value>(good).unwrap(), want, "{good}");
+        let inside = format!("[{good}]");
+        assert_eq!(
+            serde_json::from_str::<Value>(&inside).unwrap(),
+            Value::Seq(vec![want]),
+            "{inside}"
+        );
+    }
+}
+
+#[test]
+fn strings_reject_raw_control_characters() {
+    for raw in ["\"a\nb\"", "\"a\tb\"", "\"\r\n\"", "\"\0\"", "\"\u{1f}\""] {
+        assert!(serde_json::from_str::<String>(raw).is_err(), "{raw:?}");
+    }
+    // Escaped, every one of them parses; the writer escapes them all.
+    let controls: String = (0u8..0x20).map(char::from).collect();
+    let json = serde_json::to_string(&controls).unwrap();
+    assert!(json.bytes().all(|b| b >= 0x20), "{json:?}");
+    assert_eq!(serde_json::from_str::<String>(&json).unwrap(), controls);
+    // DEL is not a control character in JSON's sense.
+    assert_eq!(
+        serde_json::from_str::<String>("\"\u{7f}\"").unwrap(),
+        "\u{7f}"
+    );
 }
