@@ -117,7 +117,9 @@ impl Server {
         }
     }
 
-    fn fail(&self, why: &str) -> Outcome {
+    /// Answer a failed request line with a protocol error, setting the
+    /// sticky error flag.
+    pub(crate) fn fail(&self, why: &str) -> Outcome {
         self.had_errors.store(true, Ordering::SeqCst);
         Outcome {
             reply: proto::error_line(why),

@@ -42,9 +42,12 @@ impl Client {
         }
     }
 
-    /// Send one request line, return the reply line.
+    /// Send one request line, in one write, and return the reply line.
     fn roundtrip(&mut self, request: &str) -> String {
-        writeln!(self.reader.get_mut(), "{request}").expect("send request");
+        self.reader
+            .get_mut()
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         reply.trim_end().to_string()
