@@ -52,6 +52,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -231,17 +232,19 @@ impl Daemon {
         let slots: Arc<Slots> = Arc::default();
 
         // Sentinel: periodic sweep over every market, pushing notices to
-        // subscribers even when no ingest is in flight.
+        // subscribers even when no ingest is in flight. Between sweeps it
+        // waits on a channel nothing sends on; dropping the sender below
+        // ends the wait at once, so `run` never waits out a period.
+        let (stop_sentinel, period) = mpsc::channel::<()>();
         let sentinel = {
             let server = Arc::clone(&self.server);
             let slots = Arc::clone(&slots);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    for p in server.route_notices(&server.registry().poll_all()) {
-                        deliver(&slots, &server, p.client, &p.line, false);
-                    }
-                    std::thread::sleep(SENTINEL_PERIOD);
+            std::thread::spawn(move || loop {
+                for p in server.route_notices(&server.registry().poll_all()) {
+                    deliver(&slots, &server, p.client, &p.line, false);
+                }
+                if period.recv_timeout(SENTINEL_PERIOD) != Err(RecvTimeoutError::Timeout) {
+                    break;
                 }
             })
         };
@@ -311,6 +314,7 @@ impl Daemon {
         }
 
         stop.store(true, Ordering::SeqCst);
+        drop(stop_sentinel);
         for slot in lock_slots(&slots).values() {
             let _ = slot.socket.shutdown(Shutdown::Both);
         }

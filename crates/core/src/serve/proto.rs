@@ -32,6 +32,11 @@ use serde::Value;
 /// Protocol schema version stamped on every response and pushed event.
 pub const SERVE_PROTO_VERSION: u32 = 1;
 
+/// Most zones one market may have. The paper uses 3; `open` builds one
+/// zone list and one price column per zone, so an unbounded count would
+/// let one line ask the daemon for more memory than it has.
+const MAX_ZONES: u64 = 32;
+
 /// Keys that carry prices in serve requests. Shared with the CLI's
 /// `validate-trace` (whose event-schema list is `bid`/`charged`/`rate`)
 /// through [`check_price_fields`].
@@ -193,10 +198,13 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let req = as_str(need(m, "req")?, "req")?;
     match req {
         "open" => {
-            let zones = as_u64(need(m, "zones")?, "zones")? as usize;
-            if zones == 0 {
-                return Err("field `zones` must be at least 1".into());
+            let zones = as_u64(need(m, "zones")?, "zones")?;
+            if !(1..=MAX_ZONES).contains(&zones) {
+                return Err(format!(
+                    "field `zones` must be 1 to {MAX_ZONES}, got {zones}"
+                ));
             }
+            let zones = zones as usize;
             let step = match find(m, "step") {
                 Some(v) => as_u64(v, "step")?,
                 None => redspot_trace::PRICE_STEP,
@@ -347,6 +355,17 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn rejects_zone_counts_past_the_cap() {
+        for zones in [0, MAX_ZONES + 1, 1_000_000_000_000] {
+            let line = format!(r#"{{"req":"open","market":"m","zones":{zones}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert!(e.contains("`zones` must be 1 to 32"), "{e}");
+        }
+        let line = format!(r#"{{"req":"open","market":"m","zones":{MAX_ZONES}}}"#);
+        assert!(parse_request(&line).is_ok());
     }
 
     #[test]

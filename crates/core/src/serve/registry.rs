@@ -20,7 +20,7 @@ use crate::adaptive::forecast::{predicted_cost, Forecast};
 use crate::adaptive::Permutation;
 use crate::{AdaptiveRunner, DecisionSession, ExperimentConfig};
 use redspot_market::{CloudApi, PerfectApi};
-use redspot_trace::{Price, PriceSeries, SimDuration, SimTime, TraceHandle, TraceSet};
+use redspot_trace::{Price, PriceSeries, SimDuration, SimTime, TraceHandle, TraceSet, HORIZON};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -151,14 +151,29 @@ struct MarketState {
     /// Which zones are currently in a raised-notice state (crossing
     /// edges fire once; the flag re-arms when the price drops back).
     noticed: Vec<bool>,
+    /// The next expected sample timestamp (start + rows·step), never past
+    /// [`HORIZON`].
+    watermark: SimTime,
     stats: MarketStats,
 }
 
 impl MarketState {
-    fn new(spec: MarketSpec) -> MarketState {
+    /// A market with no rows yet. Refuses a spec whose first row would
+    /// already carry the watermark past [`HORIZON`].
+    fn new(spec: MarketSpec) -> Result<MarketState, String> {
+        if next_watermark(spec.start, spec.step).is_none() {
+            return Err(format!(
+                "market '{}' starts too late: start {} + step {} passes the horizon ({} s)",
+                spec.market,
+                spec.start.secs(),
+                spec.step,
+                HORIZON.secs()
+            ));
+        }
         let cfg = spec.config();
         let zones = spec.zones;
-        MarketState {
+        Ok(MarketState {
+            watermark: spec.start,
             spec,
             cfg,
             zone_prices: vec![Vec::new(); zones],
@@ -166,19 +181,12 @@ impl MarketState {
             warm: None,
             noticed: vec![false; zones],
             stats: MarketStats::default(),
-        }
-    }
-
-    /// The next expected sample timestamp (start + rows·step).
-    fn watermark(&self) -> SimTime {
-        SimTime::from_secs(self.spec.start.secs() + self.stats.rows * self.spec.step)
+        })
     }
 
     /// The timestamp of the last ingested row (None before any ingest).
     fn last_sample_at(&self) -> Option<SimTime> {
-        (self.stats.rows > 0).then(|| {
-            SimTime::from_secs(self.spec.start.secs() + (self.stats.rows - 1) * self.spec.step)
-        })
+        (self.stats.rows > 0).then(|| SimTime::from_secs(self.watermark.secs() - self.spec.step))
     }
 
     fn ingest(&mut self, at: SimTime, prices: &[Price]) -> Result<u64, String> {
@@ -190,7 +198,7 @@ impl MarketState {
                 prices.len()
             ));
         }
-        let expect = self.watermark();
+        let expect = self.watermark;
         if at != expect {
             return Err(format!(
                 "out-of-order ingest for '{}': expected at={}, got at={} \
@@ -201,9 +209,18 @@ impl MarketState {
                 self.spec.step
             ));
         }
+        let next = next_watermark(at, self.spec.step).ok_or_else(|| {
+            format!(
+                "market '{}' is full: a row at {} would carry its next sample past the horizon ({} s)",
+                self.spec.market,
+                at.secs(),
+                HORIZON.secs()
+            )
+        })?;
         for (zone, &p) in self.zone_prices.iter_mut().zip(prices) {
             zone.push(p);
         }
+        self.watermark = next;
         self.stats.rows += 1;
         // New data: both tiers of sealed state are stale.
         self.view = None;
@@ -362,6 +379,15 @@ impl MarketState {
     }
 }
 
+/// The watermark after a row at `at`: one step later, if that is not
+/// past [`HORIZON`].
+fn next_watermark(at: SimTime, step: u64) -> Option<SimTime> {
+    at.secs()
+        .checked_add(step)
+        .filter(|&next| next <= HORIZON.secs())
+        .map(SimTime::from_secs)
+}
+
 /// The daemon's market table. See the module docs for the locking story.
 pub struct Registry {
     markets: RwLock<HashMap<String, Arc<Mutex<MarketState>>>>,
@@ -397,10 +423,8 @@ impl Registry {
         if markets.contains_key(&spec.market) {
             return Err(format!("market '{}' is already open", spec.market));
         }
-        markets.insert(
-            spec.market.clone(),
-            Arc::new(Mutex::new(MarketState::new(spec))),
-        );
+        let market = spec.market.clone();
+        markets.insert(market, Arc::new(Mutex::new(MarketState::new(spec)?)));
         Ok(())
     }
 
@@ -428,7 +452,7 @@ impl Registry {
     pub fn stats(&self, market: &str) -> Result<(MarketStats, SimTime), String> {
         let m = self.get(market)?;
         let state = m.lock().expect("market lock");
-        Ok((state.stats, state.watermark()))
+        Ok((state.stats, state.watermark))
     }
 
     /// Run one sentinel pass over `market`: poll its control plane at the
@@ -541,6 +565,36 @@ mod tests {
         assert!(reg.ingest("m", SimTime::ZERO, &p).is_err());
         assert_eq!(reg.ingest("m", SimTime::from_secs(300), &p), Ok(2));
         assert!(reg.open(spec(Era::Classic)).is_err(), "duplicate open");
+    }
+
+    #[test]
+    fn the_watermark_stops_at_the_horizon() {
+        let reg = Registry::new();
+        let p = [Price::from_millis(270); 2];
+        // A start, or a step, that carries the first row past the horizon
+        // is refused at `open`: the watermark would not fit.
+        for (start, step) in [(u64::MAX, 300), (0, u64::MAX), (HORIZON.secs(), 300)] {
+            let late = MarketSpec {
+                start: SimTime::from_secs(start),
+                step,
+                ..spec(Era::Classic)
+            };
+            let e = reg.open(late).unwrap_err();
+            assert!(e.contains("passes the horizon"), "{e}");
+        }
+        // Two rows fit exactly; a third would end past the horizon.
+        let last = HORIZON.secs() - 300;
+        reg.open(MarketSpec {
+            start: SimTime::from_secs(last - 300),
+            ..spec(Era::Classic)
+        })
+        .unwrap();
+        assert_eq!(reg.ingest("m", SimTime::from_secs(last - 300), &p), Ok(1));
+        assert_eq!(reg.ingest("m", SimTime::from_secs(last), &p), Ok(2));
+        assert_eq!(reg.stats("m").unwrap().1, HORIZON);
+        let e = reg.ingest("m", HORIZON, &p).unwrap_err();
+        assert!(e.contains("past the horizon"), "{e}");
+        assert_eq!(reg.stats("m").unwrap().0.rows, 2);
     }
 
     #[test]

@@ -3,15 +3,18 @@
 //! Every Markov-Daly reschedule asks for `E[T_u]` and every Threshold
 //! reschedule for `TimeThresh`, each from a 48-hour transition model. A
 //! fresh answer builds the model (one pass over the window's transition
-//! counts into a sparse matrix stored by column) and runs the uptime
-//! kernel: up to 600 steps, each gathering every state's next mass from
-//! its up sources only, with every start state the query needs (one for
-//! `E[T_u]`, one per up state for `TimeThresh`) stepped at once as the
-//! lanes of one buffer. The kernel is exact against a dense,
-//! one-start-at-a-time propagation: per lane, each state receives the
-//! same products in the same ascending-source order; a skipped zero term
-//! could only add `+0.0` to a non-negative sum; and survival sums the
-//! same values in the same order (DESIGN.md §13).
+//! counts into a sparse matrix stored by column) and runs up to 600
+//! kernel steps. `E[T_u]` steps one forward lane from its start, each
+//! step gathering every state's next mass from its up sources only.
+//! `TimeThresh` steps one backward survival vector for every up state at
+//! once, and runs forward lanes only for the few starts whose rounded
+//! second a derived bound on the two kernels' distance leaves in doubt.
+//! Both answers are exact against a dense, one-start-at-a-time
+//! propagation: per forward lane, each state receives the same products
+//! in the same ascending-source order, a skipped zero term could only add
+//! `+0.0` to a non-negative sum, and survival sums the same values in the
+//! same order; a backward answer is one the bound proves equal
+//! (DESIGN.md §13).
 //!
 //! A query still costs a kernel run of tens to hundreds of microseconds,
 //! plus a model build the first time its window is seen, and across a

@@ -5,7 +5,8 @@
 //! form: a row-major `n × n` probability matrix, one start state per
 //! propagation, and a fresh distribution per step. [`MarkovModel`] must
 //! return exactly the same `SimDuration` for every query, at every
-//! sampling step.
+//! sampling step. For `average_uptime` that covers both of its paths: the
+//! backward survival vector and the forward lanes the bound sends back.
 
 use crate::states::StateSpace;
 use crate::uptime::{MarkovModel, EXACT_STEPS, MAX_EXPECTED_STEPS};
@@ -144,6 +145,35 @@ fn models(prices: &[u64], bin_millis: u64, step_secs: u64) -> (MarkovModel, Dens
     )
 }
 
+/// Asserts that every up state's uptime at `bid`, and their average,
+/// equal the oracle's, and returns how many starts the backward pass left
+/// to the forward kernel.
+fn assert_every_start_matches(sparse: &MarkovModel, dense: &DenseModel, bid: Price) -> usize {
+    let n_up = dense.states.up_count(bid);
+    let want: Vec<SimDuration> = (0..n_up)
+        .map(|s| dense.expected_uptime(dense.states.price_of(s), bid))
+        .collect();
+    assert_eq!(sparse.up_state_uptimes(n_up), want, "bid {bid}");
+    assert_eq!(
+        sparse.average_uptime(bid),
+        dense.average_uptime(bid),
+        "bid {bid}"
+    );
+    sparse
+        .backward_uptimes(n_up)
+        .iter()
+        .filter(|up| up.is_none())
+        .count()
+}
+
+/// The starts the backward pass leaves to the forward kernel at `bid`.
+fn doubtful(model: &MarkovModel, dense: &DenseModel, bid: Price) -> Vec<usize> {
+    let settled = model.backward_uptimes(dense.states.up_count(bid));
+    (0..settled.len())
+        .filter(|&s| settled[s].is_none())
+        .collect()
+}
+
 /// Everyday price levels; with 10- and 50-milli bins some share a state.
 const ALPHABET: [u64; 8] = [250, 257, 270, 281, 300, 330, 410, 480];
 
@@ -184,6 +214,41 @@ fn arb_price() -> impl Strategy<Value = u64> {
     0u64..3_500
 }
 
+/// A history in which every state is the source of a power-of-two number
+/// of transitions, so every transition probability is a binary fraction
+/// (as in `geometric_survival_matches_closed_form`). Each [`ALPHABET`]
+/// level appears 0 or 2^e times (e < 6) in shuffled order, and the first
+/// sample is repeated at the end, so each appearance is one transition's
+/// source. Sums of such probabilities are often exact, which lands
+/// survivals exactly on `Th` and seconds exactly on `.5`. Use a one-milli
+/// bin, so that no two levels share a state.
+fn arb_dyadic_history() -> impl Strategy<Value = Vec<u64>> {
+    (
+        prop::collection::vec(0u32..7, ALPHABET.len()),
+        1u64..u64::MAX,
+    )
+        .prop_map(|(exponents, mut seed)| {
+            let mut history: Vec<u64> = ALPHABET
+                .iter()
+                .zip(&exponents)
+                .filter(|&(_, &e)| e > 0)
+                .flat_map(|(&price, &e)| std::iter::repeat_n(price, 1 << (e - 1)))
+                .collect();
+            if history.is_empty() {
+                history.push(ALPHABET[0]);
+            }
+            for i in (1..history.len()).rev() {
+                // xorshift64: a fixed shuffle per seed.
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                history.swap(i, (seed % (i as u64 + 1)) as usize);
+            }
+            history.push(history[0]);
+            history
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -218,6 +283,17 @@ proptest! {
                 dense.average_uptime(p(bid)),
                 "bid {} bin {} step {}", bid, bin, step
             );
+        }
+    }
+
+    #[test]
+    fn dyadic_chains_hit_ties_and_thresholds_exactly(
+        history in arb_dyadic_history(),
+        step in arb_step(),
+    ) {
+        let (sparse, dense) = models(&history, 1, step);
+        for bid in ALPHABET {
+            assert_every_start_matches(&sparse, &dense, p(bid));
         }
     }
 
@@ -312,6 +388,100 @@ fn closed_class_beside_a_leaky_one_matches_the_oracle() {
     assert_eq!(query(1), [2, 1, 3]);
 }
 
+#[test]
+fn a_start_whose_backward_sum_rounds_the_other_way_falls_back() {
+    // A generated window at the policies' five-cent bin. From its lowest
+    // state, the forward lane's expected up-time rounds to 33,577 s, but
+    // the backward survivals, summed by the same rules, round to 33,578 s:
+    // the two kernels associate their sums differently, and here the
+    // last bits straddle a half second. The bound must send this start
+    // to the forward kernel.
+    let traces = GenConfig::high_volatility(0).generate();
+    let series = &traces.zones()[1];
+    let window = Window::new(SimTime::from_hours(450), SimTime::from_hours(498));
+    let bid = p(810);
+    let sparse = MarkovModel::with_bin(series, window, 50);
+    let dense = DenseModel::with_bin(series, window, 50);
+    assert!(doubtful(&sparse, &dense, bid).contains(&0));
+    assert_every_start_matches(&sparse, &dense, bid);
+    assert_eq!(
+        sparse.up_state_uptimes(dense.states.up_count(bid))[0].secs(),
+        33_577
+    );
+}
+
+#[test]
+fn the_stop_step_is_checked_at_every_step() {
+    // On each history, the forward lane from one start stops at a step
+    // where its survival is just below `Th` and the backward survival is
+    // at or just above it. One step later the backward survival is
+    // clearly below `Th`, so checking the stop only where the backward
+    // pass stops would settle the start one step late (8 s instead of
+    // 7 s at a 2 s step; 3 s instead of 2 s at 1 s).
+    let cases: [(&[u64], u64, usize); 2] = [
+        (
+            &[
+                330, 330, 270, 270, 270, 330, 250, 330, 250, 300, 300, 250, 300,
+            ],
+            2,
+            0,
+        ),
+        (
+            &[
+                270, 250, 300, 250, 270, 250, 330, 330, 300, 300, 270, 300, 270, 250,
+            ],
+            1,
+            2,
+        ),
+    ];
+    for (history, step, start) in cases {
+        let (sparse, dense) = models(history, 10, step);
+        let bid = p(300);
+        assert!(
+            doubtful(&sparse, &dense, bid).contains(&start),
+            "step {step}"
+        );
+        assert_every_start_matches(&sparse, &dense, bid);
+    }
+}
+
+#[test]
+fn a_tail_taking_start_widens_by_the_ratio() {
+    // A daily sampling step puts a day's worth of seconds in every step,
+    // so the geometric tail's `1/(1 − r)` widening shows in whole
+    // seconds. From the lowest state this chain is still alive after 600
+    // steps and takes the tail; the forward lane's answer is 332,993,407 s
+    // (about 3,854 steps, under the cap). Bounding only the step sum, and
+    // adding the backward tail to both ends, settles it 1 s off.
+    let runs = [
+        (410, 48),
+        (900, 74),
+        (270, 65),
+        (480, 66),
+        (410, 10),
+        (270, 55),
+        (410, 68),
+        (900, 27),
+        (250, 60),
+        (330, 31),
+        (270, 48),
+        (480, 79),
+        (900, 19),
+        (250, 13),
+        (410, 70),
+        (300, 56),
+    ];
+    let history: Vec<u64> = runs
+        .iter()
+        .flat_map(|&(price, len)| std::iter::repeat_n(price, len))
+        .collect();
+    let (sparse, dense) = models(&history, 10, 86_400);
+    let bid = p(410);
+    assert!(doubtful(&sparse, &dense, bid).contains(&0));
+    assert_every_start_matches(&sparse, &dense, bid);
+    assert_eq!(sparse.expected_uptime(p(250), bid).secs(), 332_993_407);
+}
+
 /// The 48-hour windows of every zone of `traces`, `stride_hours` apart.
 fn windows(traces: &TraceSet, stride_hours: u64) -> Vec<(usize, PriceSeries)> {
     let mut out = Vec::new();
@@ -339,6 +509,7 @@ fn generated_windows_match_the_oracle() {
         GenConfig::low_volatility(3).generate(),
     ];
     let mut compared = 0;
+    let (mut starts, mut fallbacks) = (0, 0);
     for traces in &markets {
         for (zone, window) in windows(traces, 200) {
             let whole = Window::new(window.start(), window.end());
@@ -352,11 +523,9 @@ fn generated_windows_match_the_oracle() {
                     dense.expected_uptime(last, bid),
                     "{at}"
                 );
-                assert_eq!(
-                    sparse.average_uptime(bid),
-                    dense.average_uptime(bid),
-                    "{at}"
-                );
+                let n_up = dense.states.up_count(bid);
+                fallbacks += assert_every_start_matches(&sparse, &dense, bid);
+                starts += n_up;
                 compared += 2;
             }
         }
@@ -364,4 +533,12 @@ fn generated_windows_match_the_oracle() {
     // Four windows (at 0, 200, 400 and 600 h) of six zones, four bids,
     // two queries.
     assert_eq!(compared, 192);
+    // The backward pass answers the large majority of `average_uptime`'s
+    // 838 starts (all of them, when this was written); a bound that sent
+    // every start forward would fail here.
+    assert_eq!(starts, 838);
+    assert!(
+        fallbacks * 20 <= starts,
+        "{fallbacks} of {starts} starts fell back to the forward kernel"
+    );
 }

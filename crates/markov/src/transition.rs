@@ -170,6 +170,43 @@ impl UpChain<'_> {
         )
     }
 
+    /// Each up state's row sum over all states, in ascending destination
+    /// order from `0.0`: the survival one step after starting there, `b₁`
+    /// of the backward recursion. Each sum has at most one term per
+    /// state.
+    pub(crate) fn row_sums(&self) -> Vec<f64> {
+        let mut sums = vec![0.0f64; self.n_up];
+        for span in &self.spans {
+            let (sources, probs) = self.sources(span);
+            for (&i, &p) in sources.iter().zip(probs) {
+                sums[i as usize] += p;
+            }
+        }
+        sums
+    }
+
+    /// One backward step, `out = Q_U · b`: `out[i] = Σ_j p(i → j) · b[j]`
+    /// over up states `j`, where `b[j]` is the survival `k` steps after
+    /// starting in `j` and `out[i]` is the survival `k + 1` steps after
+    /// starting in `i`. Each sum has at most one term per up state.
+    ///
+    /// # Panics
+    /// Panics if the buffers do not hold one element per up state.
+    pub(crate) fn step_back(&self, b: &[f64], out: &mut [f64]) {
+        assert!(
+            b.len() == self.n_up && out.len() == self.n_up,
+            "buffers must hold one element per up state"
+        );
+        out.fill(0.0);
+        for span in &self.spans[..self.up_spans] {
+            let (sources, probs) = self.sources(span);
+            let survival = b[span.state];
+            for (&i, &p) in sources.iter().zip(probs) {
+                out[i as usize] += p * survival;
+            }
+        }
+    }
+
     /// One Chapman-Kolmogorov step for several independent lanes at once.
     /// Both buffers are state-major — lane `l` of up state `i` is element
     /// `i * lanes + l` — with `lanes = survival.len()`. `dist` holds each

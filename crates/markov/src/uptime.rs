@@ -6,15 +6,25 @@
 //! expected number of surviving 5-minute steps; iteration stops once the
 //! estimate is stable at seconds granularity (the paper's `Th`).
 //!
-//! Every query runs one kernel. Each start state is a lane of one
-//! state-major buffer: one lane for [`MarkovModel::expected_uptime`], one
-//! per up state for [`MarkovModel::average_uptime`]. The kernel pulls: the
-//! transition matrix is stored by column, and a step gathers each state's
-//! next mass from its up sources (a prefix of its column, because up
-//! states are the lowest levels), adding it to the survival in the same
-//! pass. Buffers hold up states only. A lane's arithmetic is exactly that
-//! of a dense, one-start propagation, so results are bit-identical to it
-//! (the test-only oracle in this crate checks that).
+//! The forward kernel answers [`MarkovModel::expected_uptime`]: each start
+//! state is a lane of one state-major buffer. It pulls: the transition
+//! matrix is stored by column, and a step gathers each state's next mass
+//! from its up sources (a prefix of its column, because up states are the
+//! lowest levels), adding it to the survival in the same pass. Buffers
+//! hold up states only. A lane's arithmetic is exactly that of a dense,
+//! one-start propagation, so results are bit-identical to it (the
+//! test-only oracle in this crate checks that).
+//!
+//! [`MarkovModel::average_uptime`] needs one number from every up state.
+//! It steps one backward survival vector instead of one lane per start:
+//! `b₁` holds each up state's row sum and `b_k = Q_U · b_{k−1}`, so
+//! `b_k[s]` is the survival `k` steps after starting in `s`. Each start
+//! then follows the forward lane's stop, tail, cap and rounding rules.
+//! The backward sums associate differently, so its survivals differ from
+//! the forward lane's in the last bits. A derived bound on that distance
+//! (DESIGN.md §13) settles most starts exactly as the forward lane would;
+//! the few it leaves in doubt run through the forward kernel, so the
+//! average is bit-identical too.
 
 use crate::states::{StateSpace, DEFAULT_BIN_MILLIS};
 use crate::transition::TransitionMatrix;
@@ -37,6 +47,26 @@ pub(crate) const EXACT_STEPS: usize = 600;
 /// Cap on the expected up-time: 30 days of 5-minute steps. Beyond this the
 /// distinction is irrelevant to a ≤ 30-hour experiment.
 pub(crate) const MAX_EXPECTED_STEPS: f64 = 8_640.0;
+
+/// Unit roundoff of `f64`: a correctly rounded operation's relative error
+/// is at most this.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// The relative half-width of an interval, around a value the backward
+/// pass computed, that holds the forward kernel's value of the same
+/// quantity, when neither kernel rounds any term of the exact sum more
+/// than `roundings` times (DESIGN.md §13 counts them).
+///
+/// Both kernels add non-negative products of the same stored
+/// probabilities, so each value lies within `γ_m = m·u / (1 − m·u)`
+/// (relative) of the exact sum, and the two lie within
+/// `2γ_m / (1 − γ_m) ≤ 2.05·m·u` of each other while `m·u ≤ 0.01`
+/// (`m` below 9·10¹³). Four more units cover evaluating the ends
+/// `x · (1 ∓ w)`, two roundings each, and gradual underflow, whose
+/// absolute error is far below `u · Th`.
+fn spread(roundings: usize) -> f64 {
+    (2.05 * roundings as f64 + 4.0) * UNIT_ROUNDOFF
+}
 
 impl MarkovModel {
     /// Build from the portion of `series` inside `window` (the paper uses
@@ -131,16 +161,115 @@ impl MarkovModel {
         if n_up == 0 {
             return SimDuration::ZERO;
         }
-        let starts: Vec<usize> = (0..n_up).collect();
-        let total: u64 = self.uptimes(n_up, &starts).iter().map(|u| u.secs()).sum();
+        let total: u64 = self.up_state_uptimes(n_up).iter().map(|u| u.secs()).sum();
         SimDuration::from_secs(total / n_up as u64)
     }
 
-    /// The uptime kernel behind every query: the expected up-time from each
-    /// of `starts` (up states, so below `n_up`), in order, each start a
-    /// lane of one state-major buffer stepped through the up chain at
-    /// once: one lane for [`expected_uptime`](Self::expected_uptime), one
-    /// per up state for [`average_uptime`](Self::average_uptime).
+    /// The expected up-time from each of the first `n_up` states, in state
+    /// order: the backward pass settles most starts, and the forward
+    /// kernel runs the ones it leaves in doubt.
+    pub(crate) fn up_state_uptimes(&self, n_up: usize) -> Vec<SimDuration> {
+        let settled = self.backward_uptimes(n_up);
+        let doubtful: Vec<usize> = (0..n_up).filter(|&s| settled[s].is_none()).collect();
+        let mut forward = if doubtful.is_empty() {
+            Vec::new()
+        } else {
+            self.uptimes(n_up, &doubtful)
+        }
+        .into_iter();
+        settled
+            .into_iter()
+            .map(|up| up.unwrap_or_else(|| forward.next().expect("one lane per doubtful start")))
+            .collect()
+    }
+
+    /// The backward pass: the expected up-time from each of the first
+    /// `n_up` states, in state order, or `None` where the bound leaves the
+    /// forward lane's answer in doubt.
+    ///
+    /// One survival vector steps through `b₁ = row sums`,
+    /// `b_k = Q_U · b_{k−1}`, and each start accumulates `b_k[s]` with
+    /// the forward lane's rules. The forward survival at step `k` lies
+    /// within `spread(k·n_up + n)` of the backward one, and the forward
+    /// step sum within `spread(k·(n_up + 1) + n)` of the backward sum
+    /// (see [`spread`]). A start is settled when:
+    ///
+    /// - at every step, its survival interval lies wholly below `Th` (it
+    ///   stops here) or wholly at or above it (it goes on), so its stop
+    ///   step is certain;
+    /// - the tail, cap, scaling and rounding, applied to both ends of its
+    ///   interval, give the same whole second. Each of those operations
+    ///   is monotone in its inputs, rounding included, so the forward
+    ///   lane's second lies between the two ends' seconds. The tail's
+    ///   ratio takes its ends from both survivals' intervals, which is
+    ///   where `1/(1 − r)` widens a tail-taking start's interval.
+    pub(crate) fn backward_uptimes(&self, n_up: usize) -> Vec<Option<SimDuration>> {
+        let chain = self.trans.up_chain(n_up);
+        let n = self.states.len();
+        let tol = 1.0 / self.step_secs as f64; // seconds granularity (Th)
+        let seconds = |steps: f64| (steps.min(MAX_EXPECTED_STEPS) * self.step_secs as f64).round();
+        let tail = |alive: f64, prev_alive: f64| {
+            let r = (alive / prev_alive).clamp(0.0, 0.999_999);
+            alive * r / (1.0 - r)
+        };
+        let mut out = vec![None; n_up];
+        let mut open: Vec<Lane> = (0..n_up)
+            .map(|id| Lane {
+                id,
+                steps: 0.0,
+                prev_alive: 1.0,
+            })
+            .collect();
+        let mut survival = chain.row_sums();
+        let mut next = vec![0.0f64; n_up];
+        for k in 1..=EXACT_STEPS {
+            if k > 1 {
+                chain.step_back(&survival, &mut next);
+                std::mem::swap(&mut survival, &mut next);
+            }
+            let last = k == EXACT_STEPS;
+            let alive_spread = spread(k * n_up + n);
+            let prev_spread = spread((k - 1) * n_up + n);
+            let steps_spread = spread(k * (n_up + 1) + n);
+            open.retain_mut(|lane| {
+                let alive = survival[lane.id];
+                let prev_alive = std::mem::replace(&mut lane.prev_alive, alive);
+                lane.steps += alive;
+                let (lo, hi) = (alive * (1.0 - alive_spread), alive * (1.0 + alive_spread));
+                if lo < tol && hi >= tol {
+                    return false; // the forward lane may stop here or go on
+                }
+                let stopped = hi < tol;
+                if !stopped && !last {
+                    return true;
+                }
+                let mut steps = [
+                    lane.steps * (1.0 - steps_spread),
+                    lane.steps * (1.0 + steps_spread),
+                ];
+                if !stopped {
+                    steps[0] += tail(lo, prev_alive * (1.0 + prev_spread));
+                    steps[1] += tail(hi, prev_alive * (1.0 - prev_spread));
+                }
+                let [low, high] = steps.map(seconds);
+                if low == high {
+                    out[lane.id] = Some(SimDuration::from_secs(low as u64));
+                }
+                false
+            });
+            if open.is_empty() {
+                break;
+            }
+        }
+        out
+    }
+
+    /// The forward uptime kernel: the expected up-time from each of
+    /// `starts` (up states, so below `n_up`), in order, each start a lane
+    /// of one state-major buffer stepped through the up chain at once: one
+    /// lane for [`expected_uptime`](Self::expected_uptime), and one per
+    /// start the backward pass of [`average_uptime`](Self::average_uptime)
+    /// leaves in doubt.
     ///
     /// Every lane follows the single-start rules on its own: E[steps up] =
     /// Σ_k (probability still alive after k steps), stopping once a step's
@@ -217,9 +346,11 @@ impl MarkovModel {
     }
 }
 
-/// One start state's progress through [`MarkovModel::uptimes`].
+/// One start state's progress through [`MarkovModel::uptimes`] or
+/// [`MarkovModel::backward_uptimes`].
 struct Lane {
-    /// Position of the start in the caller's list.
+    /// Position of the start in the caller's list (the backward pass's
+    /// list is every up state, so this is the state itself).
     id: usize,
     /// E[steps up] so far.
     steps: f64,

@@ -2,7 +2,7 @@
 //! external plotting tools.
 
 use crate::price::Price;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, HORIZON};
 use crate::traceset::TraceSet;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -58,6 +58,16 @@ fn validate_structure(set: &TraceSet) -> Result<(), String> {
     if st0 == 0 {
         return Err("zone step is zero".into());
     }
+    let end = (l0 as u64)
+        .checked_mul(st0)
+        .and_then(|span| s0.secs().checked_add(span));
+    if end.is_none_or(|end| end > HORIZON.secs()) {
+        return Err(format!(
+            "trace ends past the horizon (start {} + step {st0} × {l0} samples > {} s)",
+            s0.secs(),
+            HORIZON.secs()
+        ));
+    }
     Ok(())
 }
 
@@ -86,8 +96,9 @@ pub fn export_csv<W: Write>(set: &TraceSet, out: &mut W) -> io::Result<()> {
 /// Every rejection names the 1-based line it happened on (the header is
 /// line 1), the same discipline `validate-trace` applies to event logs:
 /// duplicate or backwards timestamps, irregular row spacing, missing or
-/// extra columns, and non-finite or negative prices are all errors, never
-/// silently accepted.
+/// extra columns, a row whose next sample would lie past [`HORIZON`], and
+/// non-finite, negative or unrepresentable prices (beyond `u64::MAX`
+/// milli-dollars) are all errors, never silently accepted.
 pub fn import_csv<R: BufRead>(input: R) -> io::Result<TraceSet> {
     use crate::series::PriceSeries;
     use crate::time::SimTime;
@@ -147,6 +158,18 @@ pub fn import_csv<R: BufRead>(input: R) -> io::Result<TraceSet> {
                 Some(_) => {}
             }
         }
+        // The series would end one step after this row.
+        if t.checked_add(step.unwrap_or(1))
+            .is_none_or(|end| end > HORIZON.secs())
+        {
+            return Err(bad(
+                lineno,
+                format!(
+                    "timestamp {t} leaves no room for a step before the horizon ({} s)",
+                    HORIZON.secs()
+                ),
+            ));
+        }
         times.push(t);
         for (z, col) in cols.iter_mut().enumerate() {
             let field = fields[z + 1].trim();
@@ -158,6 +181,12 @@ pub fn import_csv<R: BufRead>(input: R) -> io::Result<TraceSet> {
             }
             if v < 0.0 {
                 return Err(bad(lineno, format!("negative price {field:?}")));
+            }
+            if (v * 1000.0).round() >= u64::MAX as f64 {
+                return Err(bad(
+                    lineno,
+                    format!("price {field:?} is beyond u64::MAX milli-dollars"),
+                ));
             }
             col.push(Price::from_dollars(v));
         }
@@ -310,6 +339,21 @@ mod tests {
             e.contains("line 2") && e.contains("bad price field \"cheap\""),
             "{e}"
         );
+        // Values later arithmetic cannot hold: a step that carries the
+        // end past the horizon (here u64::MAX seconds, which `end()`
+        // could not compute), a first row at the horizon, and a price
+        // `Price::from_dollars` would clamp to u64::MAX milli-dollars.
+        let e = import_err("time_s,z\n0,0.3\n18446744073709551615,0.3\n");
+        assert!(e.contains("line 3") && e.contains("horizon"), "{e}");
+        let e = import_err(&format!("time_s,z\n{},0.3\n", HORIZON.secs()));
+        assert!(e.contains("line 2") && e.contains("horizon"), "{e}");
+        let e = import_err("time_s,z\n0,0.3\n300,99999999999999999999\n");
+        assert!(e.contains("line 3") && e.contains("u64::MAX"), "{e}");
+        // A series may end exactly at the horizon.
+        let last = HORIZON.secs() - 300;
+        let body = format!("time_s,z\n{},0.3\n{last},0.3\n", last - 300);
+        let set = import_csv(Cursor::new(body)).unwrap();
+        assert_eq!(set.zones()[0].end(), HORIZON);
     }
 
     #[test]
@@ -355,6 +399,17 @@ mod tests {
         let path = dir.join("nan.json");
         std::fs::write(&path, good.replacen(char::is_numeric, "NaN", 1)).unwrap();
         assert!(load_json(&path).is_err());
+
+        // A series that ends past the horizon, where `end()` would
+        // overflow.
+        let path = dir.join("late.json");
+        std::fs::write(
+            &path,
+            r#"{"zones":[{"start":18446744073709551615,"step":300,"prices":[270,270]}]}"#,
+        )
+        .unwrap();
+        let e = load_json(&path).unwrap_err().to_string();
+        assert!(e.contains("past the horizon"), "{e}");
 
         // And the good trace still loads.
         let path = dir.join("good.json");

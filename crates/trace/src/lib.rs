@@ -38,6 +38,6 @@ pub use handle::TraceHandle;
 pub use price::{highlight_bids, paper_bid_grid, Price};
 pub use series::PriceSeries;
 pub use source::{load_trace_file, save_trace_file, Profile, TraceSource};
-pub use time::{SimDuration, SimTime, HOUR, PRICE_STEP};
+pub use time::{SimDuration, SimTime, HORIZON, HOUR, PRICE_STEP};
 pub use traceset::{TraceSet, ZoneId};
 pub use window::{overlapping_windows, Window};

@@ -15,6 +15,15 @@ pub const HOUR: u64 = 3_600;
 /// The spot-price sampling interval: 5 minutes (Section 5).
 pub const PRICE_STEP: u64 = 300;
 
+/// The latest instant any loaded trace or served market may reach: 2⁴⁰ s,
+/// about 34,800 years after the epoch, so Unix timestamps fit with room to
+/// spare. The trace loaders refuse a series whose end (`start + step ×
+/// len`) lies past it, and `serve` refuses a market or a row that would
+/// carry its next sample past it. Everything later added to such a time
+/// (deadlines, horizons, billing hours) is far below the 2⁶⁴ − 2⁴⁰ s left
+/// before `u64` overflows.
+pub const HORIZON: SimTime = SimTime(1 << 40);
+
 /// An absolute instant on the simulation clock (seconds since trace epoch).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,

@@ -1,9 +1,11 @@
 //! The serve daemon under slow, idle, pipelining and hostile clients,
 //! through its public API only: a client that never reads stalls nobody
-//! else, `shutdown` ends the daemon while other clients stay connected,
-//! a pipelining client is slowed but never dropped, a round trip costs
-//! microseconds rather than a delayed ACK, and an over-long or non-UTF-8
-//! line gets one error reply on both transports while the session goes on.
+//! else, `shutdown` ends the daemon at once, even while other clients
+//! stay connected, a pipelining client is slowed but never dropped, a
+//! round trip costs microseconds rather than a delayed ACK, an over-long
+//! or non-UTF-8 line gets one error reply on both transports while the
+//! session goes on, and so does a line asking for more than the daemon
+//! can hold.
 //!
 //! Every wait is bounded, so a daemon that blocks fails the test instead
 //! of hanging it.
@@ -287,6 +289,46 @@ fn tcp_answers_hostile_lines_and_goes_on() {
         !daemon.finished_within(READ_TIMEOUT),
         "failed lines set the error flag"
     );
+}
+
+/// Lines that ask the daemon to hold more than it can: a trillion-zone
+/// market, whose zone list alone would be an 8 TB allocation that aborts
+/// the process, and markets whose start or step carries the watermark
+/// past the horizon, where it would overflow. Each gets one `ok:false`
+/// while another client is connected, whose next round trip still
+/// succeeds. An abort would take the test binary with it, so this cannot
+/// pass by accident.
+#[test]
+fn lines_asking_for_too_much_are_refused_and_serving_goes_on() {
+    let daemon = Running::start();
+    let mut bystander = Client::connect(daemon.addr);
+    assert!(bystander.roundtrip(&open("calm")).contains("\"ok\":true"));
+    let mut hostile = Client::connect(daemon.addr);
+    for line in [
+        r#"{"req":"open","market":"m","zones":1000000000000}"#,
+        r#"{"req":"open","market":"s","zones":1,"start":18446744073709551615}"#,
+        r#"{"req":"open","market":"t","zones":1,"step":18446744073709551615}"#,
+    ] {
+        let reply = hostile.roundtrip(line);
+        assert!(reply.contains("\"ok\":false"), "{line} -> {reply}");
+    }
+    let reply = bystander.roundtrip(&stats("calm"));
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert!(hostile.roundtrip(SHUTDOWN).contains("\"req\":\"shutdown\""));
+    assert!(
+        !daemon.finished_within(READ_TIMEOUT),
+        "refused lines set the error flag"
+    );
+}
+
+/// `run` returns as soon as `shutdown` is answered: it does not wait out
+/// the rest of the sentinel's 200 ms sweep period.
+#[test]
+fn shutdown_right_after_start_returns_at_once() {
+    let daemon = Running::start();
+    let mut client = Client::connect(daemon.addr);
+    assert!(client.roundtrip(SHUTDOWN).contains("\"req\":\"shutdown\""));
+    assert!(daemon.finished_within(Duration::from_millis(100)));
 }
 
 /// Over stdio, the same lines each get one `ok:false` reply, the session
