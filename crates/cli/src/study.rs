@@ -4,6 +4,8 @@
 
 use crate::args::ParsedArgs;
 use crate::{write_json, CliError};
+use redspot_core::ExperimentConfig;
+use redspot_exp::experiments::guarantee::{self as g, GridCell, ERAS};
 
 /// `--intensities`: fault intensities in `[0, 1]`.
 fn intensities(parsed: &ParsedArgs, default: &[f64]) -> Result<Vec<f64>, String> {
@@ -15,6 +17,15 @@ fn intensities(parsed: &ParsedArgs, default: &[f64]) -> Result<Vec<f64>, String>
     }
 }
 
+/// A study's table, or a [`CliError::Violation`] carrying it when any
+/// run of the grid missed its deadline.
+fn gate<V>(rendered: String, cells: &[GridCell<V>]) -> Result<String, CliError> {
+    match g::total_violations(cells) {
+        0 => Ok(rendered),
+        _ => Err(CliError::Violation(rendered)),
+    }
+}
+
 /// `chaos`: the deadline guarantee under injected faults — infrastructure
 /// faults by default; `--api` *composes* control-plane faults with the
 /// infrastructure faults in the same runs; `--api-only` injects the
@@ -22,24 +33,17 @@ fn intensities(parsed: &ParsedArgs, default: &[f64]) -> Result<Vec<f64>, String>
 /// [`CliError::Violation`]: the binary prints the table and exits
 /// nonzero.
 pub fn chaos(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use redspot_exp::experiments::{chaos, chaos_api};
     let common = parsed.common()?;
     let n = parsed.n_or(8)?;
     let intensities = intensities(parsed, &[0.0, 0.3, 0.6, 1.0])?;
     let traces = common.source.resolve()?;
-    let (threads, era) = (common.threads, common.era);
-    let (rendered, violations) = if parsed.has("api") || parsed.has("api-only") {
-        let composed = !parsed.has("api-only");
-        let c = chaos_api::study(&traces, &intensities, n, threads, composed, era);
-        (chaos_api::render(&c), c.total_violations())
-    } else {
-        let c = chaos::study(&traces, &intensities, n, threads, era);
-        (chaos::render(&c), c.total_violations())
-    };
-    if violations > 0 {
-        return Err(CliError::Violation(rendered));
-    }
-    Ok(rendered)
+    let infra = !parsed.has("api-only");
+    let api = parsed.has("api") || parsed.has("api-only");
+    let era = common.era;
+    let inject = |cfg: ExperimentConfig, i| g::faults(cfg.with_era(era), i, infra, api);
+    let suite = g::guarantee_suite(traces.zone_ids().collect());
+    let cells = g::grid(&traces, &suite, &intensities, inject, n, common.threads)?;
+    gate(g::render_chaos(&cells, infra, api), &cells)
 }
 
 /// `fleet`: N mixed jobs contending for shared per-zone spot capacity,
@@ -73,7 +77,7 @@ pub fn fleet(parsed: &ParsedArgs) -> Result<String, CliError> {
         n_jobs,
         common.threads,
         common.era,
-    );
+    )?;
     let mut rendered = chaos_fleet::render(&c);
     if let Some(path) = out_path {
         write_json(path, &c.merged_metrics(), false)?;
@@ -89,16 +93,19 @@ pub fn fleet(parsed: &ParsedArgs) -> Result<String, CliError> {
 /// per-second/interruption-notice market, same traces and schemes. Any
 /// deadline violation in either era is a [`CliError::Violation`].
 pub fn era_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use redspot_exp::experiments::era_compare;
     let common = parsed.common()?;
     let n = parsed.n_or(8)?;
     let traces = common.source.resolve()?;
-    let c = era_compare::study(&traces, n, common.threads);
-    let rendered = era_compare::render(&c);
-    if c.total_violations() > 0 {
-        return Err(CliError::Violation(rendered));
-    }
-    Ok(rendered)
+    let suite = g::guarantee_suite(traces.zone_ids().collect());
+    let cells = g::grid(
+        &traces,
+        &suite,
+        &ERAS,
+        ExperimentConfig::with_era,
+        n,
+        common.threads,
+    )?;
+    gate(g::render_era(&cells), &cells)
 }
 
 /// `policy-compare`: every checkpoint policy head-to-head as redundancy
@@ -107,26 +114,30 @@ pub fn era_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
 /// writes the full comparison as a JSON artifact (the `policy-smoke` CI
 /// job uploads it).
 pub fn policy_compare(parsed: &ParsedArgs) -> Result<String, CliError> {
-    use redspot_exp::experiments::policy_compare as pc;
     let common = parsed.common()?;
     let n = parsed.n_or(8)?;
     let out_path = parsed.out()?;
     let traces = common.source.resolve()?;
-    let c = pc::study(&traces, n, common.threads);
-    let mut rendered = pc::render(&c);
+    let roster = g::policy_roster(traces.zone_ids().collect());
+    let cells = g::grid(
+        &traces,
+        &roster,
+        &ERAS,
+        ExperimentConfig::with_era,
+        n,
+        common.threads,
+    )?;
+    let mut rendered = g::render_policy(&cells);
     if let Some(path) = out_path {
-        write_json(path, &c, true)?;
+        write_json(path, &g::PolicyTable::new(&cells), true)?;
         rendered.push_str(&format!("\n  comparison artifact written to {path}\n"));
     }
-    if c.total_violations() > 0 {
-        return Err(CliError::Violation(rendered));
-    }
-    Ok(rendered)
+    gate(rendered, &cells)
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::kit::{cli, err, ok, tmp};
+    use crate::kit::{cli, err, ok, tmp, trace};
     use crate::CliError;
 
     #[test]
@@ -194,5 +205,39 @@ mod tests {
         let refused = err(&["policy-compare", "--n", "2", "--out", &path]);
         assert!(refused.contains("already exists"), "{refused}");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
+    }
+
+    /// A 48-hour trace leaves no room for the 48 h bootstrap plus a
+    /// deadline: every study refuses it as a usage error instead of
+    /// passing its gate on zero runs (or, for `fleet`, panicking).
+    #[test]
+    fn every_study_refuses_a_trace_too_short_for_one_experiment() {
+        let low = trace("low", 1);
+        let short = tmp("short.json");
+        ok(&[
+            "gen-trace",
+            "--bootstrap-from",
+            &low,
+            "--seed",
+            "3",
+            "--days",
+            "2",
+            "--block-hours",
+            "6",
+            "--out",
+            &short,
+        ]);
+        for study in [
+            &["chaos"][..],
+            &["chaos", "--api-only"],
+            &["era-compare"],
+            &["policy-compare"],
+            &["fleet", "--jobs", "4", "--intensities", "0"],
+        ] {
+            match cli(&[study, &["--trace", &short]].concat()) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("too short"), "{study:?}: {msg}"),
+                other => panic!("{study:?} on a 48 h trace gave {other:?}"),
+            }
+        }
     }
 }

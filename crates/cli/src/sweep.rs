@@ -31,6 +31,7 @@ impl SweepGrid {
         traces: &TraceSet,
         base: &ExperimentConfig,
     ) -> Result<SweepGrid, String> {
+        use redspot_exp::experiments::guarantee::TOO_SHORT;
         use redspot_exp::windows::{experiment_starts, run_span_for};
 
         let kind = parse_policy(parsed)?;
@@ -41,9 +42,7 @@ impl SweepGrid {
             .unwrap_or_else(|| [270, 810, 2_400].map(Price::from_millis).to_vec());
         let starts = experiment_starts(traces, run_span_for(base.deadline), n);
         if starts.is_empty() {
-            return Err(
-                "trace too short for this deadline (need 48h bootstrap + deadline + 1h)".into(),
-            );
+            return Err(TOO_SHORT.into());
         }
         let mut specs = Vec::new();
         for &bid in &bids {

@@ -11,6 +11,15 @@
 # with the older spelling noted after each line that changed. Never
 # regenerate it from the current binary: it pins that the respelled
 # commands print and write exactly what the old ones did.
+#
+# The study lines marked "added" came later. Their output was captured
+# from the binary that still had one module per guarantee study (`chaos`,
+# `chaos_api`, `era_compare`, `policy_compare`), before those studies
+# shared one grid; every earlier line of the golden was left as it was.
+# They pin the infrastructure-only chaos table, the control-plane-only
+# table, both chaos tables under the modern era, the "vs baseline" column
+# with the fault-free baseline listed second or missing, and the era
+# table on a second market.
 set -eu
 BIN=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 DIR=$(mktemp -d)
@@ -32,6 +41,11 @@ r sweep --trace low.json --policy markov-daly --bids 0.81,2.40 --n 4 --metrics  
 r sweep --trace low.json --redundant --bids 0.81 --n 3            # was: --redundant true
 r sweep --trace low.json --policy adaptive --bids 0.81 --n 3 --out sweep.json
 r chaos --api --n 2 --intensities 0,0.5
+r chaos --n 2 --intensities 0.5,0                                 # added: baseline listed second
+r chaos --api-only --n 2 --intensities 0.7                        # added: no baseline
+r chaos --era modern --n 2 --intensities 0,0.5                    # added
+r chaos --api --era modern --n 2 --intensities 0,0.5              # added
+r era-compare --profile low --n 2                                 # added
 r era-compare --n 2
 r policy-compare --n 2 --out pc.json
 r fleet --jobs 4 --capacity unbounded,1 --intensities 0 --out fleet.json

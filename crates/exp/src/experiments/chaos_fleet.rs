@@ -1,19 +1,20 @@
 //! Fleet-contention chaos study: closed-loop capacity contention with
 //! both fault planes live and the graceful-degradation ladder enabled.
 //!
-//! [`chaos`](crate::experiments::chaos) injects *engine* faults and
-//! [`chaos_api`](crate::experiments::chaos_api) injects *control-plane*
-//! faults, each into independent runs. This study composes both planes
-//! and adds the failure mode neither can produce: **endogenous**
-//! capacity exhaustion, where a fleet of jobs drains a shared per-zone
-//! [`CapacityPool`] and insufficient-capacity errors emerge from the
-//! fleet's own behaviour. The degradation ladder
-//! ([`DegradePolicy::standard`]) then sheds redundant zones, defers
-//! starts under admission control, and finally spills to on-demand —
-//! and the hard requirement stays exactly the paper's: **zero deadline
-//! violations in every cell**, plus the pool-conservation invariant
-//! (every debited unit credited back).
+//! The [`guarantee`](crate::experiments::guarantee) grid injects
+//! *engine* and *control-plane* faults
+//! ([`faults`](crate::experiments::guarantee::faults)) into independent
+//! runs. This study composes both planes and adds the failure mode
+//! neither can produce: **endogenous** capacity exhaustion, where a
+//! fleet of jobs drains a shared per-zone [`CapacityPool`] and
+//! insufficient-capacity errors emerge from the fleet's own behaviour.
+//! The degradation ladder ([`DegradePolicy::standard`]) then sheds
+//! redundant zones, defers starts under admission control, and finally
+//! spills to on-demand — and the hard requirement stays exactly the
+//! paper's: **zero deadline violations in every cell**, plus the
+//! pool-conservation invariant (every debited unit credited back).
 
+use crate::experiments::guarantee::TOO_SHORT;
 use crate::fleet::{FleetJob, FleetRequest};
 use crate::scheme::{RunSpec, Scheme};
 use crate::windows::{experiment_starts, run_span_for};
@@ -155,7 +156,8 @@ pub fn fleet_mix(
 
 /// Run the study: every capacity level × intensity over the same mixed
 /// fleet on a high-volatility market. `threads = 0` means one worker
-/// per CPU (unbounded cells only; bounded cells run lock-step).
+/// per CPU (unbounded cells only; bounded cells run lock-step). Fails
+/// with [`TOO_SHORT`] when the trace has no room for the fleet's window.
 pub fn study(
     traces: &TraceSet,
     seed: u64,
@@ -164,7 +166,11 @@ pub fn study(
     n_jobs: usize,
     threads: usize,
     era: Era,
-) -> ChaosFleet {
+) -> Result<ChaosFleet, String> {
+    // The window `fleet_mix` clusters the fleet in.
+    if experiment_starts(traces, run_span_for(SimDuration::from_hours(16)), 8).is_empty() {
+        return Err(TOO_SHORT.into());
+    }
     let n_zones = traces.zone_ids().count();
     let mkt = MarketCtx::new(traces.clone());
     let mut cells = Vec::new();
@@ -200,7 +206,7 @@ pub fn study(
             });
         }
     }
-    ChaosFleet { cells, metrics }
+    Ok(ChaosFleet { cells, metrics })
 }
 
 /// Render the study as a table.
@@ -248,7 +254,8 @@ mod tests {
             6,
             0,
             Era::Classic,
-        );
+        )
+        .unwrap();
         assert_eq!(c.cells.len(), 4);
         assert_eq!(
             c.total_violations(),
@@ -275,7 +282,7 @@ mod tests {
     #[test]
     fn tight_capacity_fires_the_ladder() {
         let traces = redspot_trace::gen::GenConfig::high_volatility(23).generate();
-        let c = study(&traces, 23, &[Some(1)], &[0.0], 8, 0, Era::Classic);
+        let c = study(&traces, 23, &[Some(1)], &[0.0], 8, 0, Era::Classic).unwrap();
         let cell = &c.cells[0];
         assert_eq!(cell.violations, 0, "{}", render(&c));
         assert!(

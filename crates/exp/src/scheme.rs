@@ -46,37 +46,6 @@ pub enum Scheme {
 /// the *same* randomized strategy and results stay reproducible.
 pub const RANDOMIZED_BID_SEED: u64 = 0xB1D;
 
-/// The scheme roster every deadline-guarantee suite sweeps: the paper's
-/// three reference schemes plus the two policy-diversity additions
-/// (Spot-on cadence, randomized bidding), all over the full zone set
-/// except the single-zone control. Chaos, the era comparison, and the
-/// policy comparison share this list so "the guarantee holds" always
-/// means the same roster.
-pub fn guarantee_suite(zones: Vec<ZoneId>) -> Vec<Scheme> {
-    vec![
-        Scheme::Single {
-            kind: PolicyKind::Periodic,
-            zone: ZoneId(0),
-        },
-        Scheme::Redundant {
-            kind: PolicyKind::Periodic,
-            zones: zones.clone(),
-        },
-        Scheme::Redundant {
-            kind: PolicyKind::MarkovDaly,
-            zones: zones.clone(),
-        },
-        Scheme::Redundant {
-            kind: PolicyKind::SpotOnCadence,
-            zones: zones.clone(),
-        },
-        Scheme::Redundant {
-            kind: PolicyKind::RandomizedBid(RANDOMIZED_BID_SEED),
-            zones,
-        },
-    ]
-}
-
 impl Scheme {
     /// Short label for tables and figures.
     pub fn label(&self) -> String {
